@@ -11,10 +11,9 @@ from .errors import (ConfigurationError, DomainError, ExpressionError,
 from .expressions import Expression, compile_expression
 from .identities import (IdentityReport, boundary_contour, contour_one_form,
                          verify_green, verify_ibp)
-from .operators import (OpKind, eval_on_grid, left_caputo_derivative,
-                        left_rl_derivative, left_rl_integral, partial_op,
-                        right_caputo_derivative, right_rl_derivative,
-                        right_rl_integral)
+from .operators import (OpKind, left_caputo_derivative, left_rl_derivative,
+                        left_rl_integral, partial_op, right_caputo_derivative,
+                        right_rl_derivative, right_rl_integral)
 from .optimize import MinimizeResult, fd_gradient, minimize_bfgs
 from .quadrature import (DEFAULT_QUAD, QuadConfig, Side, SingularKernelSpec,
                          WeightShift, clustered_gl, gauss_legendre,
@@ -36,7 +35,7 @@ __all__ = [
     "contour_one_form",
     "OpKind", "left_rl_integral", "right_rl_integral", "left_rl_derivative",
     "right_rl_derivative", "left_caputo_derivative", "right_caputo_derivative",
-    "partial_op", "eval_on_grid",
+    "partial_op",
     "MinimizeResult", "fd_gradient", "minimize_bfgs",
     "QuadConfig", "DEFAULT_QUAD", "Side", "WeightShift", "SingularKernelSpec",
     "singular_integral", "line_integral_edge", "gauss_legendre", "clustered_gl",

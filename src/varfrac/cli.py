@@ -24,10 +24,7 @@ from .errors import (ConfigurationError, DomainError, ExpressionError,
                      OptimizationError, ValidityError)
 from .expressions import compile_expression
 from .identities import verify_green, verify_ibp
-from .operators import (OpKind, eval_on_grid, left_caputo_derivative,
-                        left_rl_derivative, left_rl_integral, partial_op,
-                        right_caputo_derivative, right_rl_derivative,
-                        right_rl_integral)
+from .operators import OpKind, interval_op, partial_op
 from .quadrature import DEFAULT_QUAD, QuadConfig
 from .variational import BoundaryData, Lagrangian, ritz_solve
 from . import selftest as _selftest
@@ -93,10 +90,8 @@ def _cmd_op(config, args) -> int:
         alpha = _build_alpha(config["alpha"], rect.axis(axis),
                              int(config.get("l", 2)), config.get("bound_mode", "plain"))
         f = _fn2_from_config(config, "f")
-        points = [(float(t1), float(t2)) for t1, t2 in config.get("points", [])]
-        values = eval_on_grid(
-            lambda p: partial_op(kind, axis, f, alpha, p, rect, quad, h),
-            points, args.threads) if points else []
+        points = np.array(config.get("points", []), dtype=float).reshape(-1, 2)
+        values = partial_op(kind, axis, f, alpha, points.T, rect, quad, h)
         out.write("t1,t2,value\n")
         for (t1, t2), v in zip(points, values):
             out.write(f"{_fmt(t1)},{_fmt(t2)},{_fmt(v)}\n")
@@ -121,20 +116,7 @@ def _cmd_op(config, args) -> int:
         grid = list(np.linspace(float(grid_obj.get("start", a)),
                                 float(grid_obj.get("stop", b)), count)) if count else []
 
-    def evaluate(t: float) -> float:
-        if kind is OpKind.I_LEFT:
-            return left_rl_integral(f, alpha, a, t, quad)
-        if kind is OpKind.I_RIGHT:
-            return right_rl_integral(f, alpha, t, b, quad)
-        if kind is OpKind.D_RL_LEFT:
-            return left_rl_derivative(f, alpha, a, t, quad, h)
-        if kind is OpKind.D_RL_RIGHT:
-            return right_rl_derivative(f, alpha, t, b, quad, h)
-        if kind is OpKind.D_CAP_LEFT:
-            return left_caputo_derivative(f, alpha, a, t, quad)
-        return right_caputo_derivative(f, alpha, t, b, quad)
-
-    values = eval_on_grid(evaluate, grid, args.threads) if grid else []
+    values = interval_op(kind, f, alpha, a, b, grid, quad, h)
     out.write("t,value\n")
     for t, v in zip(grid, values):
         out.write(f"{_fmt(t)},{_fmt(v)}\n")
@@ -257,7 +239,7 @@ def _parse_args(argv):
                         help="override the config tolerance (verify: residual gate; "
                              "solve: optimizer gradient tolerance)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid/outer-integral evaluation")
+                        help="worker threads for the rows of outer integrals (op ignores it)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the random instances in selftest")
     return parser.parse_args(argv)

@@ -23,11 +23,7 @@ def _as_array_fn(fn):
 
     def wrapped(*args):
         out = np.asarray(fn(*args), dtype=float)
-        shape = np.shape(args[0]) if args else ()
-        for a in args[1:]:
-            if np.shape(a) != shape:
-                shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-                break
+        shape = np.broadcast(*args).shape if args else ()
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out
@@ -233,13 +229,14 @@ class SmoothFn2:
     def partial(self, axis: int):
         return self.d_t1 if axis == 1 else self.d_t2
 
-    def section(self, axis: int, frozen: float, rect: Optional[Rect2] = None,
-                allow_fd: bool = True) -> SmoothFn1:
+    def section(self, axis: int, frozen) -> SmoothFn1:
         """One-variable section with the other coordinate frozen.
 
-        The section's derivative comes from the matching analytic partial
-        when present; otherwise it is left unset so the one-variable
-        operators apply their own finite-difference policy.
+        ``frozen`` may be an array that broadcasts against the section's
+        argument, such as a column holding one frozen value per row.  The
+        section's derivative comes from the matching analytic partial when
+        present; otherwise it is left unset so the one-variable operators
+        apply their own finite-difference policy.
         """
         if axis == 1:
             value = lambda s: self.value(s, frozen)

@@ -26,8 +26,7 @@ import numpy as np
 from .domain import BoundMode, Rect2, SmoothFn2, VariableOrder
 from .errors import ValidityError
 from .operators import OpKind, partial_op
-from .quadrature import DEFAULT_QUAD, QuadConfig, Side, SingularKernelSpec, \
-    WeightShift, line_integral_edge, singular_integral, tensor_integral
+from .quadrature import DEFAULT_QUAD, QuadConfig, line_integral_edge, tensor_integral
 
 _PROBE_GRID = 16
 
@@ -98,25 +97,16 @@ def contour_one_form(p_field, q_field, rect: Rect2,
 
     Four-edge decomposition: bottom (t2 = a2, dt1 > 0) and top (t2 = b2,
     dt1 < 0) carry P; right (t1 = b1, dt2 > 0) and left (t1 = a1, dt2 < 0)
-    carry Q.
+    carry Q.  Each field is called once per edge, with the vector of edge
+    nodes for the varying coordinate and a scalar for the fixed one.
     """
     a1, b1 = rect.t1.a, rect.t1.b
     a2, b2 = rect.t2.a, rect.t2.b
-    bottom = line_integral_edge(lambda s: _vec(p_field, s, a2), a1, b1, +1, cfg)
-    right = line_integral_edge(lambda s: _vec_t2(q_field, b1, s), a2, b2, +1, cfg)
-    top = line_integral_edge(lambda s: _vec(p_field, s, b2), a1, b1, -1, cfg)
-    left = line_integral_edge(lambda s: _vec_t2(q_field, a1, s), a2, b2, -1, cfg)
+    bottom = line_integral_edge(lambda s: p_field(s, a2), a1, b1, +1, cfg)
+    right = line_integral_edge(lambda s: q_field(b1, s), a2, b2, +1, cfg)
+    top = line_integral_edge(lambda s: p_field(s, b2), a1, b1, -1, cfg)
+    left = line_integral_edge(lambda s: q_field(a1, s), a2, b2, -1, cfg)
     return bottom + right + top + left
-
-
-def _vec(field, s, frozen2):
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    return np.array([field(x, frozen2) for x in s])
-
-
-def _vec_t2(field, frozen1, s):
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    return np.array([field(frozen1, x) for x in s])
 
 
 def boundary_contour(eta, g, f, alpha1: VariableOrder, alpha2: VariableOrder,
@@ -139,25 +129,17 @@ def boundary_contour(eta, g, f, alpha1: VariableOrder, alpha2: VariableOrder,
 
 def _right_co_integral_field(f2: SmoothFn2, alpha: VariableOrder, axis: int,
                              rect: Rect2, cfg: QuadConfig):
-    """Pointwise right (1 - alpha)-integral of f2 along the given axis."""
-    spec = SingularKernelSpec(alpha, Side.RIGHT, WeightShift.DERIVATIVE)
-    interval = rect.axis(axis)
-
-    def field(t1, t2):
-        ti = t1 if axis == 1 else t2
-        if ti == interval.b:
-            return 0.0  # empty range, by continuity
-        section = f2.section(axis, t2 if axis == 1 else t1, rect)
-        return singular_integral(spec, section.value, ti, interval.b, cfg)
-
-    return field
+    """Right (1 - alpha)-integral of f2 along the given axis, as a field:
+    the right integral of order 1 - alpha."""
+    co_order = VariableOrder(lambda t, tau: 1.0 - alpha(t, tau), alpha.domain, validate=False)
+    return lambda t1, t2: partial_op(OpKind.I_RIGHT, axis, f2, co_order, (t1, t2), rect, cfg)
 
 
 def _probe_c1(field, rect: Rect2, name: str):
     """Sample-check that a field is finite with bounded difference quotients."""
     t1 = np.linspace(rect.t1.a, rect.t1.b, _PROBE_GRID)
     t2 = np.linspace(rect.t2.a, rect.t2.b, _PROBE_GRID)
-    vals = np.array([[field(x, y) for y in t2] for x in t1])
+    vals = np.array([np.broadcast_to(field(x, t2), t2.shape) for x in t1])
     if not np.all(np.isfinite(vals)):
         raise ValidityError(f"{name} is not finite on the probe grid")
     scale = 1.0 + np.max(np.abs(vals))

@@ -19,8 +19,10 @@ Conventions, applied uniformly through :class:`SingularKernelSpec`:
   continuity while Riemann-Liouville derivatives raise, their limit being
   genuinely undefined.
 
-All operations are pure; grid evaluation may fan points out across
-threads as long as the supplied callables are safe to call concurrently.
+Every operator takes a scalar or an array of points and returns a float or
+an array of that shape; the kernel integrals of a call go to the quadrature
+engine in bounded batches, each value bit-identical to the one-point call.
+All operations are pure.
 """
 
 from __future__ import annotations
@@ -32,13 +34,24 @@ import numpy as np
 
 from .domain import Rect2, SmoothFn1, SmoothFn2, VariableOrder
 from .errors import DomainError
-from .parallel import map_ordered
 from .quadrature import (DEFAULT_QUAD, QuadConfig, Side, SingularKernelSpec,
-                         WeightShift, singular_integral)
+                         WeightShift, _graded_integrals)
 
 # step = min(h, _STEP_DISTANCE_FRACTION * distance-to-singular-endpoint)
 _STEP_DISTANCE_FRACTION = 0.1
 _DEFAULT_STEP_FRACTION = 1e-4
+# bound on the kernel nodes per batch of evaluation points, so memory stays
+# flat for any number of points (a stencil multiplies it by at most 5)
+_BATCH_NODES = 1 << 16
+
+# (offsets in steps, weights) of the 4th-order first-derivative stencils,
+# in the order they are tried; the weights are applied left to right and
+# the sum divided by 12 * step
+_STENCILS = (
+    ((-2.0, -1.0, 1.0, 2.0), (1.0, -8.0, 8.0, -1.0)),
+    ((0.0, 1.0, 2.0, 3.0, 4.0), (-25.0, 48.0, -36.0, 16.0, -3.0)),
+    ((0.0, -1.0, -2.0, -3.0, -4.0), (25.0, -48.0, 36.0, -16.0, 3.0)),
+)
 
 
 class OpKind(enum.Enum):
@@ -50,150 +63,182 @@ class OpKind(enum.Enum):
     D_CAP_RIGHT = "D_cap_right"
 
 
-def left_rl_integral(f, alpha: VariableOrder, a: float, t: float,
-                     cfg: QuadConfig = DEFAULT_QUAD) -> float:
+# kind: message for an evaluation point outside the operator's range
+_RANGE_ERRORS = {
+    OpKind.I_LEFT: "left integral needs t >= a, got t={t}, a={a}",
+    OpKind.I_RIGHT: "right integral needs t <= b, got t={t}, b={b}",
+    OpKind.D_RL_LEFT: "left RL derivative is undefined for t <= a (t={t}, a={a})",
+    OpKind.D_RL_RIGHT: "right RL derivative is undefined for t >= b (t={t}, b={b})",
+    OpKind.D_CAP_LEFT: "left Caputo derivative needs t >= a, got t={t}, a={a}",
+    OpKind.D_CAP_RIGHT: "right Caputo derivative needs t <= b, got t={t}, b={b}",
+}
+_LEFT = (OpKind.I_LEFT, OpKind.D_RL_LEFT, OpKind.D_CAP_LEFT)
+_RL = (OpKind.D_RL_LEFT, OpKind.D_RL_RIGHT)
+
+
+def _check(ok: np.ndarray, t: np.ndarray, message):
+    """Raise DomainError with ``message(t)`` at the first point failing ``ok``."""
+    if not ok.all():
+        raise DomainError(message(float(t[np.argmin(ok)])))
+
+
+def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float,
+                        dist_to_singular: np.ndarray) -> np.ndarray:
+    """d/dt of a field F with algebraic endpoint behaviour, 4th order.
+
+    ``F(x, rows)`` evaluates the field at stencil points x, where ``rows``
+    indexes the point of t that each stencil point belongs to; the stencil
+    points of all of t that share a stencil go to F in one call.
+    """
+    if h <= 0.0:
+        raise DomainError(f"stencil step must be positive, got {h}")
+    h_eff = np.minimum(h, _STEP_DISTANCE_FRACTION * dist_to_singular)
+    _check(h_eff > 0.0, t, lambda x: "evaluation point coincides with the singular endpoint")
+    central = (t - 2.0 * h_eff >= lo) & (t + 2.0 * h_eff <= hi)
+    forward = ~central & (t + 4.0 * h_eff <= hi)
+    backward = ~central & ~forward & (t - 4.0 * h_eff >= lo)
+    fits = central | forward | backward
+    if not fits.all():
+        i = int(np.argmin(fits))
+        raise DomainError(
+            f"no 5-point stencil of step {h_eff[i]:.3e} fits inside [{lo}, {hi}] at t={t[i]}; "
+            f"reduce the step h"
+        )
+    out = np.empty(t.shape)
+    for mask, (offsets, weights) in zip((central, forward, backward), _STENCILS):
+        i = np.flatnonzero(mask)
+        x = (t[i, None] + np.array(offsets) * h_eff[i, None]).ravel()
+        v = F(x, np.repeat(i, len(offsets))).reshape(i.size, len(offsets))
+        acc = weights[0] * v[:, 0]
+        for k in range(1, len(offsets)):
+            acc = acc + weights[k] * v[:, k]
+        out[i] = acc / (12.0 * h_eff[i])
+    return out
+
+
+def _apply(kind: OpKind, sections, alpha: VariableOrder, a: float, b: float,
+           t: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool) -> np.ndarray:
+    """The operator ``kind`` at the 1-D points t; ``sections(rows)`` is the
+    one-variable integrand (a SmoothFn1) of the points t[rows], rows being
+    an index array or a mask.  Left kernels integrate from a, right to b."""
+    left, rl = kind in _LEFT, kind in _RL
+    # an empty range is allowed, and gives 0, everywhere but under an RL derivative
+    _check((t > a if rl else t >= a) if left else (t < b if rl else t <= b), t,
+           lambda x: _RANGE_ERRORS[kind].format(t=x, a=a, b=b))
+    integral = kind in (OpKind.I_LEFT, OpKind.I_RIGHT)
+    spec = SingularKernelSpec(alpha, Side.LEFT if left else Side.RIGHT,
+                              WeightShift.INTEGRAL if integral else WeightShift.DERIVATIVE)
+    # kernel integrals of fn at points x: over [a, x] left, over [x, b] right
+    integrals = lambda fn, x: _graded_integrals(spec, fn, *((a, x) if left else (x, b)), cfg)
+    if rl:
+        F = lambda x, rows: integrals(sections(rows).value, x)
+        step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
+        if left:
+            return _stencil_derivative(F, t, a, alpha.domain.b, step, t - a)
+        return -_stencil_derivative(F, t, alpha.domain.a, b, step, b - t)
+    live = t > a if left else t < b
+    f = sections(live)
+    values = integrals(f.value if integral else f.derivative_callable(alpha.domain, allow_fd)[0],
+                       t[live])
+    out = np.zeros(t.shape)
+    out[live] = -values if kind is OpKind.D_CAP_RIGHT else values
+    return out
+
+
+def _chunked(apply, points: np.ndarray, cfg: QuadConfig):
+    """``apply`` over slices of the flattened points, each within _BATCH_NODES,
+    reassembled as a float for a scalar point and else in the points' shape."""
+    n, step = points.size, max(1, _BATCH_NODES // (cfg.panels * cfg.nodes_per_panel + 1))
+    values = (apply(slice(None)) if n <= step
+              else np.concatenate([apply(slice(i, i + step)) for i in range(0, n, step)]))
+    return float(values[0]) if points.ndim == 0 else values.reshape(points.shape)
+
+
+def interval_op(kind: OpKind, f, alpha: VariableOrder, a: float, b: float, t,
+                cfg: QuadConfig = DEFAULT_QUAD, h: Optional[float] = None, *,
+                allow_fd_derivative: bool = True):
+    """One-variable operator ``kind`` on [a, b] at t, a scalar or an array.
+
+    Left operators integrate from a, right operators to b; the arguments
+    are those of the matching named operator.
+    """
+    f = SmoothFn1.wrap(f)
+    kind = OpKind(kind)
+    t = np.asarray(t, dtype=float)
+    return _chunked(lambda c: _apply(kind, lambda rows: f, alpha, a, b, t.ravel()[c], cfg, h,
+                                     allow_fd_derivative), t, cfg)
+
+
+def left_rl_integral(f, alpha: VariableOrder, a: float, t,
+                     cfg: QuadConfig = DEFAULT_QUAD):
     """Left Riemann-Liouville integral of variable order at t.
 
     Integral over [a, t] of (t - tau)**(alpha(t, tau) - 1) / Gamma(alpha(t, tau)) * f(tau).
     """
-    f = SmoothFn1.wrap(f)
-    if t < a:
-        raise DomainError(f"left integral needs t >= a, got t={t}, a={a}")
-    spec = SingularKernelSpec(alpha, Side.LEFT, WeightShift.INTEGRAL)
-    return singular_integral(spec, f.value, a, t, cfg)
+    return interval_op(OpKind.I_LEFT, f, alpha, a, alpha.domain.b, t, cfg)
 
 
-def right_rl_integral(f, alpha: VariableOrder, t: float, b: float,
-                      cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def right_rl_integral(f, alpha: VariableOrder, t, b: float,
+                      cfg: QuadConfig = DEFAULT_QUAD):
     """Right Riemann-Liouville integral of variable order at t.
 
     Integral over [t, b] of (tau - t)**(alpha(tau, t) - 1) / Gamma(alpha(tau, t)) * f(tau);
     note the transposed order arguments.
     """
-    f = SmoothFn1.wrap(f)
-    if t > b:
-        raise DomainError(f"right integral needs t <= b, got t={t}, b={b}")
-    spec = SingularKernelSpec(alpha, Side.RIGHT, WeightShift.INTEGRAL)
-    return singular_integral(spec, f.value, t, b, cfg)
+    return interval_op(OpKind.I_RIGHT, f, alpha, alpha.domain.a, b, t, cfg)
 
 
-def _stencil_derivative(F, t: float, lo: float, hi: float, h: float,
-                        dist_to_singular: float) -> float:
-    """d/dt of a field F with algebraic endpoint behaviour, 4th order."""
-    if h <= 0.0:
-        raise DomainError(f"stencil step must be positive, got {h}")
-    h_eff = min(h, _STEP_DISTANCE_FRACTION * dist_to_singular)
-    if h_eff <= 0.0:
-        raise DomainError("evaluation point coincides with the singular endpoint")
-    if t - 2.0 * h_eff >= lo and t + 2.0 * h_eff <= hi:
-        return (F(t - 2 * h_eff) - 8.0 * F(t - h_eff)
-                + 8.0 * F(t + h_eff) - F(t + 2 * h_eff)) / (12.0 * h_eff)
-    if t + 4.0 * h_eff <= hi:
-        return (-25.0 * F(t) + 48.0 * F(t + h_eff) - 36.0 * F(t + 2 * h_eff)
-                + 16.0 * F(t + 3 * h_eff) - 3.0 * F(t + 4 * h_eff)) / (12.0 * h_eff)
-    if t - 4.0 * h_eff >= lo:
-        return (25.0 * F(t) - 48.0 * F(t - h_eff) + 36.0 * F(t - 2 * h_eff)
-                - 16.0 * F(t - 3 * h_eff) + 3.0 * F(t - 4 * h_eff)) / (12.0 * h_eff)
-    raise DomainError(
-        f"no 5-point stencil of step {h_eff:.3e} fits inside [{lo}, {hi}] at t={t}; "
-        f"reduce the step h"
-    )
-
-
-def left_rl_derivative(f, alpha: VariableOrder, a: float, t: float,
-                       cfg: QuadConfig = DEFAULT_QUAD, h: Optional[float] = None) -> float:
+def left_rl_derivative(f, alpha: VariableOrder, a: float, t,
+                       cfg: QuadConfig = DEFAULT_QUAD, h: Optional[float] = None):
     """Left Riemann-Liouville derivative: d/dt of the left (1 - alpha)-integral."""
-    f = SmoothFn1.wrap(f)
-    if t <= a:
-        raise DomainError(f"left RL derivative is undefined for t <= a (t={t}, a={a})")
-    if h is None:
-        h = alpha.domain.length * _DEFAULT_STEP_FRACTION
-    spec = SingularKernelSpec(alpha, Side.LEFT, WeightShift.DERIVATIVE)
-    F = lambda x: singular_integral(spec, f.value, a, x, cfg)
-    return _stencil_derivative(F, t, lo=a, hi=alpha.domain.b, h=h, dist_to_singular=t - a)
+    return interval_op(OpKind.D_RL_LEFT, f, alpha, a, alpha.domain.b, t, cfg, h)
 
 
-def right_rl_derivative(f, alpha: VariableOrder, t: float, b: float,
-                        cfg: QuadConfig = DEFAULT_QUAD, h: Optional[float] = None) -> float:
+def right_rl_derivative(f, alpha: VariableOrder, t, b: float,
+                        cfg: QuadConfig = DEFAULT_QUAD, h: Optional[float] = None):
     """Right Riemann-Liouville derivative: -d/dt of the right (1 - alpha)-integral."""
-    f = SmoothFn1.wrap(f)
-    if t >= b:
-        raise DomainError(f"right RL derivative is undefined for t >= b (t={t}, b={b})")
-    if h is None:
-        h = alpha.domain.length * _DEFAULT_STEP_FRACTION
-    spec = SingularKernelSpec(alpha, Side.RIGHT, WeightShift.DERIVATIVE)
-    F = lambda x: singular_integral(spec, f.value, x, b, cfg)
-    return -_stencil_derivative(F, t, lo=alpha.domain.a, hi=b, h=h, dist_to_singular=b - t)
+    return interval_op(OpKind.D_RL_RIGHT, f, alpha, alpha.domain.a, b, t, cfg, h)
 
 
-def left_caputo_derivative(f, alpha: VariableOrder, a: float, t: float,
+def left_caputo_derivative(f, alpha: VariableOrder, a: float, t,
                            cfg: QuadConfig = DEFAULT_QUAD, *,
-                           allow_fd_derivative: bool = True) -> float:
+                           allow_fd_derivative: bool = True):
     """Left Caputo derivative: left (1 - alpha)-integral applied to df/dtau."""
-    f = SmoothFn1.wrap(f)
-    if t < a:
-        raise DomainError(f"left Caputo derivative needs t >= a, got t={t}, a={a}")
-    if t == a:
-        return 0.0
-    dfn, _ = f.derivative_callable(alpha.domain, allow_fd_derivative)
-    spec = SingularKernelSpec(alpha, Side.LEFT, WeightShift.DERIVATIVE)
-    return singular_integral(spec, dfn, a, t, cfg)
+    return interval_op(OpKind.D_CAP_LEFT, f, alpha, a, alpha.domain.b, t, cfg,
+                       allow_fd_derivative=allow_fd_derivative)
 
 
-def right_caputo_derivative(f, alpha: VariableOrder, t: float, b: float,
+def right_caputo_derivative(f, alpha: VariableOrder, t, b: float,
                             cfg: QuadConfig = DEFAULT_QUAD, *,
-                            allow_fd_derivative: bool = True) -> float:
+                            allow_fd_derivative: bool = True):
     """Right Caputo derivative: minus the right (1 - alpha)-integral of df/dtau."""
-    f = SmoothFn1.wrap(f)
-    if t > b:
-        raise DomainError(f"right Caputo derivative needs t <= b, got t={t}, b={b}")
-    if t == b:
-        return 0.0
-    dfn, _ = f.derivative_callable(alpha.domain, allow_fd_derivative)
-    spec = SingularKernelSpec(alpha, Side.RIGHT, WeightShift.DERIVATIVE)
-    return -singular_integral(spec, dfn, t, b, cfg)
+    return interval_op(OpKind.D_CAP_RIGHT, f, alpha, alpha.domain.a, b, t, cfg,
+                       allow_fd_derivative=allow_fd_derivative)
 
 
-def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder,
-               p: tuple[float, float], rect: Rect2,
+def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
                cfg: QuadConfig = DEFAULT_QUAD, h: Optional[float] = None, *,
-               allow_fd_derivative: bool = True) -> float:
+               allow_fd_derivative: bool = True):
     """Partial variable-order operator along one axis of a rectangle.
 
-    Freezes the other coordinate of ``f``, forms the one-variable section,
-    and delegates to the matching one-variable operator; by construction
-    this is exactly the partial operator definition.
+    ``p = (t1, t2)`` is one point or two arrays of coordinates that
+    broadcast together; the result has their broadcast shape.  Each point
+    freezes the other coordinate of ``f``, and the matching one-variable
+    operator acts on that section; by construction this is exactly the
+    partial operator definition.
     """
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
     kind = OpKind(kind)
     f2 = SmoothFn2.wrap(f)
     interval = rect.axis(axis)
-    ti = p[axis - 1]
-    frozen = p[1] if axis == 1 else p[0]
-    if not interval.contains(ti):
-        raise DomainError(f"coordinate {ti} leaves [{interval.a}, {interval.b}] along axis {axis}")
-    section = f2.section(axis, frozen, rect, allow_fd_derivative)
-
-    if kind is OpKind.I_LEFT:
-        return left_rl_integral(section, alpha, interval.a, ti, cfg)
-    if kind is OpKind.I_RIGHT:
-        return right_rl_integral(section, alpha, ti, interval.b, cfg)
-    if kind is OpKind.D_RL_LEFT:
-        return left_rl_derivative(section, alpha, interval.a, ti, cfg, h)
-    if kind is OpKind.D_RL_RIGHT:
-        return right_rl_derivative(section, alpha, ti, interval.b, cfg, h)
-    if kind is OpKind.D_CAP_LEFT:
-        return left_caputo_derivative(section, alpha, interval.a, ti, cfg,
-                                      allow_fd_derivative=allow_fd_derivative)
-    return right_caputo_derivative(section, alpha, ti, interval.b, cfg,
-                                   allow_fd_derivative=allow_fd_derivative)
-
-
-def eval_on_grid(op, points, threads: int = 1) -> np.ndarray:
-    """Evaluate a scalar operation at many points, optionally in parallel.
-
-    Results come back in input order regardless of thread count, so output
-    is deterministic.
-    """
-    return np.array(map_ordered(op, list(points), threads), dtype=float)
+    t1, t2 = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
+    if t1.shape != t2.shape:
+        t1, t2 = np.broadcast_arrays(t1, t2)
+    ti, frozen = (t1, t2) if axis == 1 else (t2, t1)
+    ti, frozen = ti.ravel(), frozen.ravel()
+    _check((ti >= interval.a) & (ti <= interval.b), ti,
+           lambda x: f"coordinate {x} leaves [{interval.a}, {interval.b}] along axis {axis}")
+    return _chunked(lambda c: _apply(kind, lambda rows: f2.section(axis, frozen[c][rows, None]),
+                                     alpha, interval.a, interval.b, ti[c], cfg, h,
+                                     allow_fd_derivative), t1, cfg)

@@ -112,12 +112,6 @@ def _unit_panel_nodes(panels: int, nodes: int, grading: float):
     return s, ws, edges[-1]
 
 
-def _panel_nodes(S: float, cfg: QuadConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Graded panel nodes (distances from the singular point) and weights."""
-    s, ws, sliver = _unit_panel_nodes(cfg.panels, cfg.nodes_per_panel, cfg.grading)
-    return S * s, S * ws, S * sliver
-
-
 def _effective_exponent(spec: SingularKernelSpec, t_sing, tau):
     if spec.side is Side.LEFT:
         alpha = spec.exponent(t_sing, tau)
@@ -129,19 +123,63 @@ def _effective_exponent(spec: SingularKernelSpec, t_sing, tau):
     return alpha
 
 
-def _check_exponent(beta: np.ndarray, spec: SingularKernelSpec, t_sing, tau):
-    bmin = float(np.min(beta))
-    bmax = float(np.max(beta))
-    if bmin > 0.0 and bmax < 1.0:
-        return
-    bad = ~((beta > 0.0) & (beta < 1.0))
-    idx = int(np.argmax(bad))
-    tau_bad = float(np.asarray(tau).ravel()[idx] if np.ndim(tau) else tau)
+def _raise_at(bad: np.ndarray, what: str, values: np.ndarray, spec: SingularKernelSpec,
+              t_sing: np.ndarray, tau: np.ndarray):
+    """ValidityError naming the first (t, tau) node flagged in ``bad``;
+    ``what`` is a template for the value found there."""
+    p, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
     raise ValidityError(
-        f"effective kernel exponent {float(np.ravel(beta)[idx]):.6g} outside (0, 1) "
-        f"at (t, tau) = ({t_sing:.6g}, {tau_bad:.6g}) "
+        f"{what.format(format(float(values[p, j]), '.6g'))} "
+        f"at (t, tau) = ({t_sing[p]:.6g}, {tau[p, j]:.6g}) "
         f"[side={spec.side.value}, weight={spec.weight_shift.value}]"
     )
+
+
+def _graded_integrals(spec: SingularKernelSpec, h, lo, hi,
+                      cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """:func:`singular_integral` over P ranges, each with ``hi > lo``.
+
+    The singular end is a 1-D array, the other end may be a scalar.  The
+    order function, Gamma and ``h`` are each called once, on a (P, N+1)
+    node matrix whose rows end with their branch points.  Each row is
+    reduced by its own dot product, so every result is bit-identical to a
+    one-range call.  Raises ValidityError, naming the node, if an effective
+    exponent leaves (0, 1) or an integrand value is not finite.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    t_sing = hi if spec.side is Side.LEFT else lo
+    if not t_sing.size:
+        return np.empty(0)
+    s, ws, sliver = _unit_panel_nodes(cfg.panels, cfg.nodes_per_panel, cfg.grading)
+    S = hi - lo
+    s = S[:, None] * s
+    ws = S[:, None] * ws
+    sliver = S * sliver
+    t_col = t_sing[:, None]
+    # the branch point itself rides along as the last node of each row
+    tau = np.concatenate([t_col - s if spec.side is Side.LEFT else t_col + s, t_col], axis=1)
+
+    beta = _effective_exponent(spec, t_col, tau)
+    if not (float(beta.min()) > 0.0 and float(beta.max()) < 1.0):  # catches NaN too
+        _raise_at(~((beta > 0.0) & (beta < 1.0)), "effective kernel exponent {} outside (0, 1)",
+                  beta, spec, t_sing, tau)
+    inv_gamma = 1.0 / gamma(beta)
+    hv = np.asarray(h(tau), dtype=float)
+    if hv.shape != tau.shape:
+        hv = np.broadcast_to(hv, tau.shape)
+    finite = np.isfinite(hv)
+    if not finite.all():
+        _raise_at(~finite, "integrand value {} is not finite", hv, spec, t_sing, tau)
+    terms = s ** (beta[:, :-1] - 1.0) * inv_gamma[:, :-1] * hv[:, :-1]
+
+    out = np.empty(S.size)
+    for p in range(S.size):
+        total = float(ws[p] @ terms[p])
+        # closed-form singular sliver with beta and h frozen at the branch point
+        beta0 = float(beta[p, -1])
+        total += float(hv[p, -1]) * sliver[p] ** beta0 / beta0 * float(inv_gamma[p, -1])
+        out[p] = total
+    return out
 
 
 def singular_integral(spec: SingularKernelSpec, h, lo: float, hi: float,
@@ -156,7 +194,7 @@ def singular_integral(spec: SingularKernelSpec, h, lo: float, hi: float,
 
     An empty range returns 0 by continuity for integral-type kernels and is
     rejected for derivative-type kernels, whose callers need a genuine
-    limit there.
+    limit there.  A non-finite integrand value raises ValidityError.
     """
     if hi < lo:
         raise DomainError(f"integration range is reversed: [{lo}, {hi}]")
@@ -166,26 +204,7 @@ def singular_integral(spec: SingularKernelSpec, h, lo: float, hi: float,
         raise ValidityError(
             f"degenerate range [{lo}, {hi}] with a derivative-weight kernel has no value"
         )
-    S = hi - lo
-    t_sing = hi if spec.side is Side.LEFT else lo
-    s, ws, sliver = _panel_nodes(S, cfg)
-    tau = t_sing - s if spec.side is Side.LEFT else t_sing + s
-    # the branch point itself rides along as the last entry, so the order
-    # function, Gamma, and h are each evaluated exactly once per call
-    tau = np.append(tau, t_sing)
-
-    beta = _effective_exponent(spec, t_sing, tau)
-    _check_exponent(beta, spec, t_sing, tau)
-    inv_gamma = 1.0 / gamma(beta)
-    hv = np.asarray(h(tau), dtype=float)
-    if hv.shape != tau.shape:
-        hv = np.broadcast_to(hv, tau.shape)
-    total = float(ws @ (s ** (beta[:-1] - 1.0) * inv_gamma[:-1] * hv[:-1]))
-
-    # closed-form singular sliver with beta and h frozen at the branch point
-    beta0 = float(beta[-1])
-    total += float(hv[-1]) * sliver ** beta0 / beta0 * float(inv_gamma[-1])
-    return total
+    return float(_graded_integrals(spec, h, np.array([lo]), np.array([hi]), cfg)[0])
 
 
 def line_integral_edge(h, lo: float, hi: float, orientation: int,
@@ -240,9 +259,10 @@ def clustered_gl(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 def tensor_integral(field, rect, outer_grid: int, threads: int = 1) -> float:
     """Clustered tensor Gauss-Legendre integral of field(t1, t2) over a rectangle.
 
-    Rows along the first axis are independent and may run on a thread pool;
-    the contraction order is fixed, so the result does not depend on the
-    thread count.
+    ``field`` is called once per row of the outer grid, with a scalar t1
+    and the vector of t2 nodes, and must broadcast.  Rows are independent
+    and may run on a thread pool; the contraction order is fixed, so the
+    result does not depend on the thread count.
     """
     from .parallel import map_ordered
 
@@ -250,8 +270,7 @@ def tensor_integral(field, rect, outer_grid: int, threads: int = 1) -> float:
     t2n, w2 = clustered_gl(rect.t2.a, rect.t2.b, outer_grid)
 
     def row(i):
-        t1 = t1n[i]
-        return np.array([field(t1, t2) for t2 in t2n], dtype=float)
+        return np.broadcast_to(np.asarray(field(t1n[i], t2n), dtype=float), t2n.shape)
 
     m = np.vstack(map_ordered(row, range(outer_grid), threads))
     return float(w1 @ m @ w2)

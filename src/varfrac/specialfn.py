@@ -47,14 +47,16 @@ def gamma(x):
         DomainError: if any argument is not strictly positive.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size and not float(np.min(arr)) > 0.0:  # catches non-positives and NaN
+    if arr.size and not float(arr.min()) > 0.0:  # catches non-positives and NaN
         raise DomainError(f"gamma requires strictly positive arguments, got {x!r}")
     small = arr < 1.0
     shifted = np.where(small, arr + 1.0, arr)
     z = shifted - 1.0
+    # series accumulated in place, in the same order as the plain sum
     series = np.full_like(z, _LANCZOS_COEFFS[0])
+    term = np.empty_like(z)
     for k in range(1, len(_LANCZOS_COEFFS)):
-        series = series + _LANCZOS_COEFFS[k] / (z + k)
+        series += np.divide(_LANCZOS_COEFFS[k], np.add(z, k, out=term), out=term)
     t = z + _LANCZOS_G + 0.5
     value = _SQRT_2PI * t ** (z + 0.5) * np.exp(-t) * series
     value = np.where(small, value / np.where(small, arr, 1.0), value)

@@ -22,7 +22,7 @@ curvature in ``nonconvex_flag``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -360,7 +360,7 @@ def functional_eval(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrd
     cap1, cap2 = _caputo_pair(u2, alpha1, alpha2, rect, cfg)
 
     def integrand(t1, t2):
-        return float(L.L(t1, t2, float(u2(t1, t2)), cap1(t1, t2), cap2(t1, t2)))
+        return L.L(t1, t2, u2(t1, t2), cap1(t1, t2), cap2(t1, t2))
 
     return tensor_integral(integrand, rect, outer_grid, threads)
 
@@ -382,31 +382,14 @@ def string_action(sigma, tension: float, u, alpha1: VariableOrder,
     return functional_eval(lagr, u, alpha1, alpha2, rect, outer_grid, cfg, threads)
 
 
-def _vectorized2(scalar_fn) -> Callable:
-    """Lift a scalar field (t1, t2) -> float to broadcast over arrays."""
-
-    def fn(t1, t2):
-        t1a = np.asarray(t1, dtype=float)
-        t2a = np.asarray(t2, dtype=float)
-        if t1a.ndim == 0 and t2a.ndim == 0:
-            return scalar_fn(float(t1a), float(t2a))
-        b1, b2 = np.broadcast_arrays(t1a, t2a)
-        flat = [scalar_fn(float(x), float(y)) for x, y in zip(b1.ravel(), b2.ravel())]
-        return np.asarray(flat, dtype=float).reshape(b1.shape)
-
-    return fn
-
-
 def _composed_slot_fields(L: Lagrangian, u2: SmoothFn2, alpha1: VariableOrder,
                           alpha2: VariableOrder, rect: Rect2, cfg: QuadConfig):
     """The fields t -> dL/du, dL/dd1, dL/dd2 evaluated along u."""
     cap1, cap2 = _caputo_pair(u2, alpha1, alpha2, rect, cfg)
 
     def make(partial):
-        def scalar(t1, t2):
-            return float(partial(t1, t2, float(u2(t1, t2)), cap1(t1, t2), cap2(t1, t2)))
-
-        return SmoothFn2(_vectorized2(scalar), check=False)
+        return SmoothFn2(lambda t1, t2: partial(t1, t2, u2(t1, t2), cap1(t1, t2), cap2(t1, t2)),
+                         check=False)
 
     return make(L.dL_du), make(L.dL_dd1), make(L.dL_dd2)
 
@@ -441,13 +424,10 @@ def el_residual(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
     g2 = rect.t2.interior_grid(point_grid)
 
     def row(i):
-        t1 = g1[i]
-        out = np.empty(point_grid)
-        for j, t2 in enumerate(g2):
-            out[j] = (float(f_u(t1, t2))
-                      + partial_op(OpKind.D_RL_RIGHT, 1, f_d1, alpha1, (t1, t2), rect, cfg, h)
-                      + partial_op(OpKind.D_RL_RIGHT, 2, f_d2, alpha2, (t1, t2), rect, cfg, h))
-        return out
+        p = (g1[i], g2)
+        return (f_u(*p)
+                + partial_op(OpKind.D_RL_RIGHT, 1, f_d1, alpha1, p, rect, cfg, h)
+                + partial_op(OpKind.D_RL_RIGHT, 2, f_d2, alpha2, p, rect, cfg, h))
 
     values = np.vstack(map_ordered(row, range(point_grid), threads))
     l2 = float(np.sqrt(np.mean(values ** 2) * rect.area))
@@ -490,12 +470,9 @@ def first_variation(L: Lagrangian, u, eta, alpha1: VariableOrder,
     ecap1, ecap2 = _caputo_pair(eta2, alpha1, alpha2, rect, cfg)
 
     def integrand(t1, t2):
-        uv = float(u2(t1, t2))
-        d1 = cap1(t1, t2)
-        d2 = cap2(t1, t2)
-        return (float(L.dL_du(t1, t2, uv, d1, d2)) * float(eta2(t1, t2))
-                + float(L.dL_dd1(t1, t2, uv, d1, d2)) * ecap1(t1, t2)
-                + float(L.dL_dd2(t1, t2, uv, d1, d2)) * ecap2(t1, t2))
+        args = (t1, t2, u2(t1, t2), cap1(t1, t2), cap2(t1, t2))
+        return (L.dL_du(*args) * eta2(t1, t2) + L.dL_dd1(*args) * ecap1(t1, t2)
+                + L.dL_dd2(*args) * ecap2(t1, t2))
 
     return tensor_integral(integrand, rect, outer_grid, threads)
 
@@ -514,36 +491,32 @@ def _ritz_tables(expansion: RitzExpansion, psi: BoundaryData,
     T1 = np.repeat(t1n, outer_grid)
     T2 = np.tile(t2n, outer_grid)
     W = np.outer(w1, w2).ravel()
-    points = list(zip(T1, T2))
-    n_modes = len(expansion.modes)
+
+    def caputo(fn, axis, alpha, threads):
+        """CapD_axis fn at (T1, T2), one outer row per batch."""
+        return np.concatenate(map_ordered(
+            lambda t1: partial_op(OpKind.D_CAP_LEFT, axis, fn, alpha, (t1, t2n), rect, cfg),
+            t1n, threads))
 
     def mode_columns(b):
         mode = expansion.mode_fn(b)
-        col_v = np.asarray(mode(T1, T2), dtype=float)
-        col_1 = np.array([partial_op(OpKind.D_CAP_LEFT, 1, mode, alpha1, p, rect, cfg)
-                          for p in points])
-        col_2 = np.array([partial_op(OpKind.D_CAP_LEFT, 2, mode, alpha2, p, rect, cfg)
-                          for p in points])
-        return col_v, col_1, col_2
+        return (np.asarray(mode(T1, T2), dtype=float),
+                caputo(mode, 1, alpha1, 1), caputo(mode, 2, alpha2, 1))
 
-    cols = map_ordered(mode_columns, range(n_modes), threads)
+    cols = map_ordered(mode_columns, range(len(expansion.modes)), threads)
     PHI = np.column_stack([c[0] for c in cols])
     D1PHI = np.column_stack([c[1] for c in cols])
     D2PHI = np.column_stack([c[2] for c in cols])
 
     if psi.all_zero:
-        U0 = np.zeros(len(points))
-        D10 = np.zeros(len(points))
-        D20 = np.zeros(len(points))
+        U0 = np.zeros(T1.size)
+        D10 = np.zeros(T1.size)
+        D20 = np.zeros(T1.size)
     else:
         lift = expansion.boundary_lift
         U0 = np.asarray(lift(T1, T2), dtype=float)
-        D10 = np.array(map_ordered(
-            lambda p: partial_op(OpKind.D_CAP_LEFT, 1, lift, alpha1, p, rect, cfg),
-            points, threads))
-        D20 = np.array(map_ordered(
-            lambda p: partial_op(OpKind.D_CAP_LEFT, 2, lift, alpha2, p, rect, cfg),
-            points, threads))
+        D10 = caputo(lift, 1, alpha1, threads)
+        D20 = caputo(lift, 2, alpha2, threads)
     return T1, T2, W, U0, D10, D20, PHI, D1PHI, D2PHI
 
 

@@ -177,10 +177,10 @@ def _green_transformed_form(L, u2, eta2, al1, al2, outer_grid, cfg):
     f_u, f_d1, f_d2 = _composed_slot_fields(L, u2, al1, al2, UNIT_RECT, cfg)
 
     def integrand(t1, t2):
-        r = (float(f_u(t1, t2))
+        r = (f_u(t1, t2)
              + partial_op(OpKind.D_RL_RIGHT, 1, f_d1, al1, (t1, t2), UNIT_RECT, cfg)
              + partial_op(OpKind.D_RL_RIGHT, 2, f_d2, al2, (t1, t2), UNIT_RECT, cfg))
-        return float(eta2(t1, t2)) * r
+        return eta2(t1, t2) * r
 
     return tensor_integral(integrand, UNIT_RECT, outer_grid)
 

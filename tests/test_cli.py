@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from varfrac.cli import main
@@ -84,6 +85,18 @@ class TestOpCommand:
         })
         code, _, err = run_cli(capsys, ["op", "--config", cfg])
         assert code == 3
+
+    def test_nonfinite_integrand_exit_3(self, tmp_path, capsys):
+        # ln(tau - 0.5) is NaN on [0, 0.5), inside the range [0, 0.8]
+        cfg = write_config(tmp_path, {
+            "kind": "I_left", "f": "ln(tau - 0.5)", "alpha": "0.5",
+            "a": 0.0, "b": 1.0, "grid": {"count": 1, "start": 0.8, "stop": 0.8},
+        })
+        with np.errstate(invalid="ignore"):
+            code, out, err = run_cli(capsys, ["op", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
 
     def test_round_trip_formatting(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

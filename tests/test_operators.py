@@ -3,8 +3,8 @@ import pytest
 from scipy.special import gamma as sgamma
 
 from varfrac import (ConfigurationError, DomainError, Interval, OpKind,
-                     SmoothFn1, SmoothFn2, VariableOrder,
-                     eval_on_grid, left_caputo_derivative, left_rl_derivative,
+                     SmoothFn1, SmoothFn2, ValidityError, VariableOrder,
+                     left_caputo_derivative, left_rl_derivative,
                      left_rl_integral, partial_op, right_caputo_derivative,
                      right_rl_derivative, right_rl_integral)
 
@@ -326,11 +326,72 @@ class TestPartialOps:
             partial_op(OpKind.I_LEFT, 1, f, sr_alpha(), (1.5, 0.5), UNIT_RECT)
 
 
-class TestGridEvaluation:
-    def test_threads_do_not_change_results(self):
-        alpha = sr_alpha()
-        op = lambda t: left_rl_integral(lambda tau: tau ** 2, alpha, 0.0, t)
-        pts = list(np.linspace(0.1, 1.0, 9))
-        seq = eval_on_grid(op, pts, threads=1)
-        par = eval_on_grid(op, pts, threads=8)
-        assert np.array_equal(seq, par)
+ONE_VARIABLE = {
+    OpKind.I_LEFT: lambda f, alpha, t: left_rl_integral(f, alpha, 0.0, t),
+    OpKind.I_RIGHT: lambda f, alpha, t: right_rl_integral(f, alpha, t, 1.0),
+    OpKind.D_RL_LEFT: lambda f, alpha, t: left_rl_derivative(f, alpha, 0.0, t),
+    OpKind.D_RL_RIGHT: lambda f, alpha, t: right_rl_derivative(f, alpha, t, 1.0),
+    OpKind.D_CAP_LEFT: lambda f, alpha, t: left_caputo_derivative(f, alpha, 0.0, t),
+    OpKind.D_CAP_RIGHT: lambda f, alpha, t: right_caputo_derivative(f, alpha, t, 1.0),
+}
+
+
+def grid_for(kind):
+    """Both empty-range ends, and points where the default Riemann-Liouville
+    step needs the central stencil (0.3, 0.7), the forward one (right
+    kernels at 0 and 1e-5) and the backward one (left kernels at 0.99999
+    and 1)."""
+    pts = [0.0, 1e-5, 0.3, 0.7, 0.99999, 1.0]
+    if kind is OpKind.D_RL_LEFT:
+        return pts[1:]
+    if kind is OpKind.D_RL_RIGHT:
+        return pts[:-1]
+    return pts
+
+
+def same_bits(array_values, scalar_values):
+    return np.asarray(array_values).tobytes() == np.array(scalar_values, dtype=float).tobytes()
+
+
+class TestArrayEvaluation:
+    """An array of evaluation points gives the scalar loop's values, bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(OpKind))
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_one_variable(self, kind, analytic, rng):
+        alpha = VariableOrder(lambda t, tau: 0.35 + 0.1 * t + 0.05 * tau, UNIT)
+        p = random_poly1(rng)
+        f = SmoothFn1(p, p.deriv() if analytic else None, check=False)
+        op = ONE_VARIABLE[kind]
+        pts = grid_for(kind)
+        assert same_bits(op(f, alpha, np.array(pts)), [op(f, alpha, t) for t in pts])
+
+    @pytest.mark.parametrize("kind", list(OpKind))
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_partial(self, kind, axis, rng):
+        alpha = VariableOrder(lambda t, tau: 0.35 + 0.1 * t + 0.05 * tau, UNIT)
+        f = random_poly2(rng).as_smooth_fn2()
+        along = np.array(grid_for(kind))
+        other = np.linspace(0.0, 1.0, along.size)
+        t1, t2 = (along, other) if axis == 1 else (other, along)
+        scalar = [partial_op(kind, axis, f, alpha, (x, y), UNIT_RECT) for x, y in zip(t1, t2)]
+        assert same_bits(partial_op(kind, axis, f, alpha, (t1, t2), UNIT_RECT), scalar)
+        # a shared coordinate broadcasts, and the result takes the points' shape
+        grid = partial_op(kind, axis, f, alpha, (t1[:, None], t2[None, :]), UNIT_RECT)
+        assert grid.shape == (along.size, along.size)
+        assert same_bits(np.diagonal(grid), scalar)
+
+    def test_long_grid_spans_several_batches(self):
+        alpha = VariableOrder(lambda t, tau: 0.35 + 0.1 * t + 0.05 * tau, UNIT)
+        pts = np.linspace(0.0, 1.0, 700)
+        f = lambda tau: 1.0 + tau - tau * tau
+        assert same_bits(left_rl_integral(f, alpha, 0.0, pts),
+                         [left_rl_integral(f, alpha, 0.0, t) for t in pts])
+
+
+class TestNonFinite:
+    def test_nan_integrand_names_the_node(self):
+        # sqrt(tau - 0.5) is NaN on [0, 0.5), which the range [0, 0.8] covers
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValidityError, match=r"not finite at \(t, tau\) = \(0\.8, "):
+            left_rl_integral(lambda tau: np.sqrt(tau - 0.5), sr_alpha(), 0.0, 0.8)
