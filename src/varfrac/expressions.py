@@ -101,7 +101,8 @@ class _Bin:
         "-": lambda a, b: a - b,
         "*": lambda a, b: a * b,
         "/": lambda a, b: a / b,
-        "^": lambda a, b: a ** b,
+        # on arrays, so a scalar gets the same numpy pow as a grid, bit for bit
+        "^": lambda a, b: np.asarray(a) ** np.asarray(b),
     }
 
     def __init__(self, op, left, right):

@@ -135,21 +135,33 @@ def _raise_at(bad: np.ndarray, what: str, values: np.ndarray, spec: SingularKern
     )
 
 
-def _graded_integrals(spec: SingularKernelSpec, h, lo, hi,
-                      cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """:func:`singular_integral` over P ranges, each with ``hi > lo``.
+def _check_finite(values: np.ndarray, spec: SingularKernelSpec, t_sing: np.ndarray,
+                  tau: np.ndarray):
+    """Raise ValidityError, naming the node, at the first non-finite value of
+    ``values``, sampled at ``tau`` with any number of leading axes."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = ~finite.reshape(-1, *tau.shape)
+        k = int(np.argmax(bad.any(axis=(1, 2))))
+        _raise_at(bad[k], "integrand value {} is not finite", values.reshape(bad.shape)[k],
+                  spec, t_sing, tau)
 
-    The singular end is a 1-D array, the other end may be a scalar.  The
-    order function, Gamma and ``h`` are each called once, on a (P, N+1)
-    node matrix whose rows end with their branch points.  Each row is
-    reduced by its own dot product, so every result is bit-identical to a
-    one-range call.  Raises ValidityError, naming the node, if an effective
-    exponent leaves (0, 1) or an integrand value is not finite.
+
+def _kernel_nodes(spec: SingularKernelSpec, lo, hi, cfg: QuadConfig):
+    """Nodes and kernel factors of the graded rule for P ranges, each with
+    ``hi > lo``; the singular end is a 1-D array, the other end may be a
+    scalar.
+
+    Returns ``(t_sing, tau, ws, kernel, sliver, beta0, inv_gamma0)``:
+    the (P,) singular ends, the (P, N+1) node matrix whose rows end with
+    their branch points, the (P, N) panel weights, the (P, N) kernel
+    ``s**(beta - 1) / Gamma(beta)`` at the panel nodes, and the sliver
+    lengths, exponents and 1/Gamma at the branch points, each (P,).  The
+    order function and Gamma are called once.  Raises ValidityError,
+    naming the node, if an effective exponent leaves (0, 1).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     t_sing = hi if spec.side is Side.LEFT else lo
-    if not t_sing.size:
-        return np.empty(0)
     s, ws, sliver = _unit_panel_nodes(cfg.panels, cfg.nodes_per_panel, cfg.grading)
     S = hi - lo
     s = S[:, None] * s
@@ -164,22 +176,66 @@ def _graded_integrals(spec: SingularKernelSpec, h, lo, hi,
         _raise_at(~((beta > 0.0) & (beta < 1.0)), "effective kernel exponent {} outside (0, 1)",
                   beta, spec, t_sing, tau)
     inv_gamma = 1.0 / gamma(beta)
+    kernel = s ** (beta[:, :-1] - 1.0) * inv_gamma[:, :-1]
+    return t_sing, tau, ws, kernel, sliver, beta[:, -1], inv_gamma[:, -1]
+
+
+def _graded_integrals(spec: SingularKernelSpec, h, lo, hi,
+                      cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """:func:`singular_integral` over P ranges, each with ``hi > lo``.
+
+    The singular end is a 1-D array, the other end may be a scalar.  The
+    order function, Gamma and ``h`` are each called once, on the (P, N+1)
+    node matrix of :func:`_kernel_nodes`.  Each row is reduced by its own
+    dot product, so every result is bit-identical to a one-range call.
+    Raises ValidityError, naming the node, if an effective exponent leaves
+    (0, 1) or an integrand value is not finite.
+    """
+    if not np.size(hi if spec.side is Side.LEFT else lo):
+        return np.empty(0)
+    t_sing, tau, ws, kernel, sliver, beta0, inv_gamma0 = _kernel_nodes(spec, lo, hi, cfg)
     hv = np.asarray(h(tau), dtype=float)
     if hv.shape != tau.shape:
         hv = np.broadcast_to(hv, tau.shape)
-    finite = np.isfinite(hv)
-    if not finite.all():
-        _raise_at(~finite, "integrand value {} is not finite", hv, spec, t_sing, tau)
-    terms = s ** (beta[:, :-1] - 1.0) * inv_gamma[:, :-1] * hv[:, :-1]
+    _check_finite(hv, spec, t_sing, tau)
+    terms = kernel * hv[:, :-1]
 
-    out = np.empty(S.size)
-    for p in range(S.size):
+    out = np.empty(t_sing.size)
+    for p in range(t_sing.size):
         total = float(ws[p] @ terms[p])
         # closed-form singular sliver with beta and h frozen at the branch point
-        beta0 = float(beta[p, -1])
-        total += float(hv[p, -1]) * sliver[p] ** beta0 / beta0 * float(inv_gamma[p, -1])
+        b0 = float(beta0[p])
+        total += float(hv[p, -1]) * sliver[p] ** b0 / b0 * float(inv_gamma0[p])
         out[p] = total
     return out
+
+
+class KernelRule:
+    """The graded rule of P ranges as one (P, N+1) weight matrix.
+
+    ``weights`` holds the panel weights times ``s**(beta - 1) / Gamma(beta)``
+    and, in the last column, the closed-form sliver weight, so the integral
+    of h over range p is ``sum_q weights[p, q] * h(tau[p, q])``.  The
+    nodes, exponents and exponent check are those of
+    :func:`_graded_integrals`; one rule serves any number of integrands.
+    Results agree with :func:`_graded_integrals` to rounding, not bit for
+    bit, since the sums are ordered differently.
+    """
+
+    def __init__(self, spec: SingularKernelSpec, lo, hi, cfg: QuadConfig = DEFAULT_QUAD):
+        self.spec = spec
+        self.t_sing, self.tau, ws, kernel, sliver, beta0, inv_gamma0 = \
+            _kernel_nodes(spec, lo, hi, cfg)
+        self.weights = np.concatenate(
+            [ws * kernel, (sliver ** beta0 / beta0 * inv_gamma0)[:, None]], axis=1)
+
+    def integrate(self, values) -> np.ndarray:
+        """Integrals of integrand values sampled at ``tau``: ``values`` has
+        shape (..., P, N+1) and the result (..., P).  Raises ValidityError,
+        naming the node, at a non-finite value."""
+        values = np.asarray(values, dtype=float)
+        _check_finite(values, self.spec, self.t_sing, self.tau)
+        return np.einsum("...pq,pq->...p", values, self.weights)
 
 
 def singular_integral(spec: SingularKernelSpec, h, lo: float, hi: float,

@@ -6,8 +6,9 @@ This module evaluates J, computes the stationarity residual
 ``dL/du + right-D^alpha1 dL/dd1 + right-D^alpha2 dL/dd2`` on interior
 grids, replays the first variation, and solves the problem directly by a
 Ritz method: a transfinite boundary lift plus a span of tensor sine modes
-that vanish identically on the boundary, minimized by BFGS with
-finite-difference gradients.
+that vanish identically on the boundary, minimized by BFGS with the exact
+gradient of the discretized functional, assembled from the Lagrangian's
+declared partials.
 
 The Ritz search space satisfies the boundary condition exactly by
 construction, so the minimization is unconstrained.
@@ -31,7 +32,8 @@ from .errors import DomainError, ValidityError
 from .operators import OpKind, partial_op
 from .optimize import MinimizeResult, minimize_bfgs
 from .parallel import map_ordered
-from .quadrature import DEFAULT_QUAD, QuadConfig, clustered_gl, tensor_integral
+from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
+                         WeightShift, clustered_gl, tensor_integral)
 
 _LAGRANGIAN_CHECK_SEED = 0x1A6
 _CORNER_TOL = 1e-12
@@ -129,7 +131,7 @@ class BoundaryData:
 
     ``bottom``/``top`` are functions of t1 on t2 = a2 / t2 = b2;
     ``left``/``right`` are functions of t2 on t1 = a1 / t1 = b1.  Adjacent
-    edges must agree at shared corners to 1e-12.
+    edges must be finite and agree at shared corners to 1e-12.
     """
 
     def __init__(self, bottom, right, top, left, rect: Rect2, *,
@@ -170,10 +172,12 @@ class BoundaryData:
             ("top/left at (a1, b2)", self.top(a1), self.left(b2)),
         ]
         for name, u, v in corners:
-            if abs(float(u) - float(v)) > _CORNER_TOL:
+            u, v = float(u), float(v)
+            if not (np.isfinite(u) and np.isfinite(v)):
                 raise ValidityError(
-                    f"edge functions disagree at corner {name}: {float(u)!r} vs {float(v)!r}"
-                )
+                    f"edge function is not finite at corner {name}: {u!r} vs {v!r}")
+            if abs(u - v) > _CORNER_TOL:
+                raise ValidityError(f"edge functions disagree at corner {name}: {u!r} vs {v!r}")
 
     def lift(self) -> SmoothFn2:
         """Transfinite (Coons) interpolant of the four edges.
@@ -479,45 +483,63 @@ def first_variation(L: Lagrangian, u, eta, alpha1: VariableOrder,
 
 def _ritz_tables(expansion: RitzExpansion, psi: BoundaryData,
                  alpha1: VariableOrder, alpha2: VariableOrder, rect: Rect2,
-                 outer_grid: int, cfg: QuadConfig, threads: int):
+                 outer_grid: int, cfg: QuadConfig):
     """Precompute u, CapD1 u, CapD2 u at the outer nodes as affine maps of c.
 
-    The Caputo partial is linear in the function, so each table column only
-    has to be computed once per mode; after that every J(c) evaluation is a
-    handful of dense matrix products.
+    The left Caputo kernel along axis 1 depends on t1 and tau only, so one
+    kernel rule per axis, assembled at that axis's outer nodes, serves
+    every mode, the boundary lift and every node of the other axis: each
+    table column is one contraction of the rule's weights with the
+    function's partial derivative at the rule's nodes.  After that every
+    J(c) evaluation is a handful of dense matrix products.
     """
     t1n, w1 = clustered_gl(rect.t1.a, rect.t1.b, outer_grid)
     t2n, w2 = clustered_gl(rect.t2.a, rect.t2.b, outer_grid)
     T1 = np.repeat(t1n, outer_grid)
     T2 = np.tile(t2n, outer_grid)
     W = np.outer(w1, w2).ravel()
+    rule1, rule2 = (
+        KernelRule(SingularKernelSpec(alpha, Side.LEFT, WeightShift.DERIVATIVE),
+                   rect.axis(axis).a, nodes, cfg)
+        for axis, alpha, nodes in ((1, alpha1, t1n), (2, alpha2, t2n)))
 
-    def caputo(fn, axis, alpha, threads):
-        """CapD_axis fn at (T1, T2), one outer row per batch."""
-        return np.concatenate(map_ordered(
-            lambda t1: partial_op(OpKind.D_CAP_LEFT, axis, fn, alpha, (t1, t2n), rect, cfg),
-            t1n, threads))
+    def columns(fn: SmoothFn2):
+        """fn, CapD1 fn and CapD2 fn at (T1, T2)."""
+        # axis 1: rows of the rule are t1 nodes, leading axis the t2 nodes
+        d1 = rule1.integrate(fn.d_t1(rule1.tau, t2n[:, None, None])).T
+        d2 = rule2.integrate(fn.d_t2(t1n[:, None, None], rule2.tau))
+        return np.asarray(fn(T1, T2), dtype=float), d1.ravel(), d2.ravel()
 
-    def mode_columns(b):
-        mode = expansion.mode_fn(b)
-        return (np.asarray(mode(T1, T2), dtype=float),
-                caputo(mode, 1, alpha1, 1), caputo(mode, 2, alpha2, 1))
-
-    cols = map_ordered(mode_columns, range(len(expansion.modes)), threads)
-    PHI = np.column_stack([c[0] for c in cols])
-    D1PHI = np.column_stack([c[1] for c in cols])
-    D2PHI = np.column_stack([c[2] for c in cols])
-
+    PHI, D1PHI, D2PHI = (np.column_stack(c) for c in zip(
+        *(columns(expansion.mode_fn(b)) for b in range(len(expansion.modes)))))
     if psi.all_zero:
-        U0 = np.zeros(T1.size)
-        D10 = np.zeros(T1.size)
-        D20 = np.zeros(T1.size)
+        U0 = D10 = D20 = np.zeros(T1.size)
     else:
-        lift = expansion.boundary_lift
-        U0 = np.asarray(lift(T1, T2), dtype=float)
-        D10 = caputo(lift, 1, alpha1, threads)
-        D20 = caputo(lift, 2, alpha2, threads)
+        U0, D10, D20 = columns(expansion.boundary_lift)
     return T1, T2, W, U0, D10, D20, PHI, D1PHI, D2PHI
+
+
+def _ritz_objective(L: Lagrangian, tables):
+    """J(c) and its exact gradient from the tables of :func:`_ritz_tables`.
+
+    J is an explicit function of the affine tables, so with the declared
+    partials of L the gradient is
+    PHI^T (W dL/du) + D1PHI^T (W dL/dd1) + D2PHI^T (W dL/dd2).
+    """
+    T1, T2, W, U0, D10, D20, PHI, D1PHI, D2PHI = tables
+
+    def slots(c):
+        return T1, T2, U0 + PHI @ c, D10 + D1PHI @ c, D20 + D2PHI @ c
+
+    def J(c):
+        return float(W @ np.asarray(L.L(*slots(c)), dtype=float))
+
+    def grad_J(c):
+        args = slots(c)
+        return (PHI.T @ (W * L.dL_du(*args)) + D1PHI.T @ (W * L.dL_dd1(*args))
+                + D2PHI.T @ (W * L.dL_dd2(*args)))
+
+    return J, grad_J
 
 
 def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
@@ -532,22 +554,17 @@ def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
     returned report carries the coefficient vector, the functional value,
     the gradient norm reached, and the stationarity residual of the
     solution on an ``el_grid`` x ``el_grid`` interior grid (``el_grid=0``
-    skips that, leaving NaN).
+    skips that, leaving NaN).  BFGS gets the exact gradient of the
+    tabulated J from the declared partials of ``L``; ``threads`` fans out
+    the rows of the stationarity residual only.
     """
     expansion = RitzExpansion.zero(psi, n_modes)
     if coeffs0 is not None:
         expansion = expansion.with_coeffs(coeffs0)
-    T1, T2, W, U0, D10, D20, PHI, D1PHI, D2PHI = _ritz_tables(
-        expansion, psi, alpha1, alpha2, rect, outer_grid, cfg, threads)
-
-    def J(c):
-        u = U0 + PHI @ c
-        d1 = D10 + D1PHI @ c
-        d2 = D20 + D2PHI @ c
-        return float(W @ np.asarray(L.L(T1, T2, u, d1, d2), dtype=float))
-
+    J, grad_J = _ritz_objective(L, _ritz_tables(expansion, psi, alpha1, alpha2, rect,
+                                                outer_grid, cfg))
     result: MinimizeResult = minimize_bfgs(
-        J, expansion.coeffs, grad_tol=opt_tol, max_iter=max_iter)
+        J, expansion.coeffs, grad_tol=opt_tol, max_iter=max_iter, grad=grad_J)
     solution = expansion.with_coeffs(result.x)
 
     if el_grid > 0:

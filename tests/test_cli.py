@@ -224,6 +224,22 @@ class TestSolveCommand:
         assert code == 5
 
 
+    def test_nonfinite_corner_exit_3(self, tmp_path, capsys):
+        # (t1 - 2)^0.5 is NaN on the whole bottom edge, corners included
+        cfg = write_config(tmp_path, {
+            "lagrangian": "quadratic",
+            "psi": {"bottom": "(t1-2)^0.5", "right": "1", "top": "1", "left": "1"},
+            "alpha1": "0.4", "alpha2": "0.4", "l1": 3, "l2": 3,
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+            "n_modes": 1, "outer_grid": 8, "el_grid": 0,
+        })
+        with np.errstate(invalid="ignore"):
+            code, out, err = run_cli(capsys, ["solve", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        assert "not finite at corner" in err
+
+
 class TestCommandResolution:
     def test_missing_command_exit_2(self, capsys):
         code, _, err = run_cli(capsys, [])

@@ -7,6 +7,16 @@ from varfrac import ExpressionError, compile_expression
 
 
 class TestParsingAndEvaluation:
+    @pytest.mark.parametrize("src", ["x^2", "x^1.7", "x^3"])
+    def test_power_scalar_matches_grid_bit_for_bit(self, src):
+        # Python-float pow and numpy's array pow differ in the last bit on
+        # some inputs; a scalar must get the grid's value exactly
+        e = compile_expression(src, ("x",))
+        x = np.random.default_rng(3).random(20000) * 3.0
+        grid = e(x)
+        scalar = np.array([e(float(v)) for v in x])
+        assert np.array_equal(scalar, grid)
+
     def test_arithmetic_precedence(self):
         e = compile_expression("1+2*3-4/2", ())
         assert e() == pytest.approx(5.0)

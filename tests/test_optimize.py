@@ -22,6 +22,24 @@ def test_converges_on_quadratic():
     assert res.iterations < 50
 
 
+def test_exact_gradient_replaces_finite_differences():
+    A = np.array([[3.0, 1.0], [1.0, 2.0]])
+    b = np.array([1.0, -2.0])
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return float(0.5 * x @ A @ x - b @ x)
+
+    res = minimize_bfgs(fun, np.zeros(2), grad_tol=1e-9, max_iter=100,
+                        grad=lambda x: A @ x - b)
+    assert res.converged
+    assert res.x == pytest.approx(np.linalg.solve(A, b), abs=1e-9)
+    # fun_evals counts the calls of fun, and with grad= there are no
+    # finite-difference gradients among them
+    assert res.fun_evals == len(calls) < 2 * len(b) * res.iterations
+
+
 def test_converges_on_rosenbrock():
     fun = lambda x: float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
     res = minimize_bfgs(fun, np.array([-1.2, 1.0]), grad_tol=1e-6, max_iter=300)

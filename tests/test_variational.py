@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from varfrac import (BoundaryData, BoundMode, DomainError,
-                     Lagrangian, RitzExpansion, SmoothFn2,
-                     ValidityError, VariableOrder, el_residual, fd_gradient,
-                     first_variation, functional_eval, ritz_solve,
-                     string_action)
+from varfrac import (DEFAULT_QUAD, BoundaryData, BoundMode, DomainError,
+                     Lagrangian, OpKind, Rect2, RitzExpansion, SmoothFn2,
+                     ValidityError, VariableOrder, clustered_gl, el_residual,
+                     fd_gradient, first_variation, functional_eval, partial_op,
+                     ritz_solve, string_action)
+from varfrac.variational import _ritz_objective, _ritz_tables
 
 from conftest import UNIT, UNIT_RECT, BubblePoly2, mpgamma, random_poly2
 
@@ -53,6 +54,15 @@ class TestBoundaryData:
         with pytest.raises(ValidityError, match="corner"):
             BoundaryData(lambda s: s, lambda s: 5.0 + 0 * s,
                          lambda s: s, lambda s: 0.0 * s, UNIT_RECT)
+
+    def test_nonfinite_corner_rejected(self):
+        # NaN compares false, so it must not slip through the corner tolerance
+        with pytest.raises(ValidityError, match="not finite at corner"):
+            BoundaryData.constant(float("nan"), UNIT_RECT)
+        with np.errstate(divide="ignore"), \
+                pytest.raises(ValidityError, match="not finite at corner"):
+            BoundaryData(lambda s: 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s,
+                         lambda s: np.log(s), UNIT_RECT)  # -inf at (a1, a2)
 
     def test_constant_lift_is_exact(self):
         psi = BoundaryData.constant(2.5, UNIT_RECT)
@@ -300,3 +310,74 @@ class TestRitzSolve:
             assert rep.converged
             values.append(rep.J_value)
         assert values[0] >= values[1] >= values[2]
+
+
+# (rect, alpha1, alpha2, boundary function): constant and (t, tau)-varying
+# orders, the unit and a non-unit rectangle, each with a nonzero lift
+_TABLE_CASES = {
+    "constant_unit": (UNIT_RECT, lambda t, tau: 0.4 + 0.0 * t + 0.0 * tau,
+                      lambda t, tau: 0.3 + 0.0 * t + 0.0 * tau,
+                      lambda t1, t2: t1 + 2.0 * t2 + t1 * t2),
+    "varying_nonunit": (Rect2.of(-0.3, 0.9, 0.2, 1.5),
+                        lambda t, tau: 0.35 + 0.1 * t - 0.05 * tau,
+                        lambda t, tau: 0.3 + 0.1 * t * tau,
+                        lambda t1, t2: 1.0 + np.sin(t1) + t2 ** 2 + t1 * t2),
+}
+
+
+def _table_problem(name, n_modes=2, outer=9):
+    rect, a1, a2, fn = _TABLE_CASES[name]
+    alpha1, alpha2 = VariableOrder(a1, rect.t1), VariableOrder(a2, rect.t2)
+    psi = BoundaryData.from_function(fn, rect)
+    exp = RitzExpansion.zero(psi, n_modes)
+    tables = _ritz_tables(exp, psi, alpha1, alpha2, rect, outer, DEFAULT_QUAD)
+    return rect, alpha1, alpha2, exp, tables
+
+
+class TestRitzTables:
+    @pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+    def test_columns_match_partial_op(self, name):
+        outer = 9
+        rect, alpha1, alpha2, exp, tables = _table_problem(name, outer=outer)
+        T1, T2, W, U0, D10, D20, PHI, D1PHI, D2PHI = tables
+        t1n, _ = clustered_gl(rect.t1.a, rect.t1.b, outer)
+        t2n, _ = clustered_gl(rect.t2.a, rect.t2.b, outer)
+        fns = [(exp.mode_fn(b), PHI[:, b], D1PHI[:, b], D2PHI[:, b])
+               for b in range(len(exp.modes))]
+        fns.append((exp.boundary_lift, U0, D10, D20))
+        for fn, u, d1, d2 in fns:
+            assert np.array_equal(u, fn(T1, T2))
+            for axis, alpha, column in ((1, alpha1, d1), (2, alpha2, d2)):
+                # one outer row per call, as the per-point path evaluates them
+                ref = np.concatenate([
+                    partial_op(OpKind.D_CAP_LEFT, axis, fn, alpha, (t1, t2n), rect)
+                    for t1 in t1n])
+                assert np.max(np.abs(ref)) > 0.0
+                err = np.max(np.abs(column - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-13, (axis, err)
+
+    @pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+    def test_exact_gradient_matches_fd(self, name, rng):
+        # convex, non-quadratic and t-dependent: every slot's partial is exercised
+        L = Lagrangian(
+            lambda t1, t2, u, d1, d2: (d1 ** 2 + 0.5 * d2 ** 2 + 0.3 * d1 * d2 + u ** 2
+                                       + 0.2 * u ** 4 + (1.0 + t1) * u),
+            lambda t1, t2, u, d1, d2: 2.0 * u + 0.8 * u ** 3 + (1.0 + t1),
+            lambda t1, t2, u, d1, d2: 2.0 * d1 + 0.3 * d2,
+            lambda t1, t2, u, d1, d2: d2 + 0.3 * d1,
+            rect=_TABLE_CASES[name][0])
+        *_, tables = _table_problem(name)
+        J, grad_J = _ritz_objective(L, tables)
+        for _ in range(3):
+            c = rng.uniform(-0.5, 0.5, 4)
+            g, g_fd = grad_J(c), fd_gradient(J, c)
+            assert np.max(np.abs(g - g_fd)) <= 1e-6 * np.max(np.abs(g_fd))
+
+    def test_nan_inside_an_edge_raises(self):
+        # finite and matching at the corners, NaN for t1 in (0.4, 0.6)
+        edge = lambda s: np.sqrt(0.24) + 0.0 * s
+        psi = BoundaryData(lambda s: np.sqrt((s - 0.5) ** 2 - 0.01), edge, edge, edge,
+                           UNIT_RECT)
+        with np.errstate(invalid="ignore"), pytest.raises(ValidityError, match="not finite"):
+            ritz_solve(Lagrangian.quadratic(), psi, A04, A04, UNIT_RECT, n_modes=2,
+                       outer_grid=8, el_grid=0)
