@@ -3,8 +3,8 @@ ladders, variational solving, and a bundled self-test.
 
 Configuration comes from a single JSON file (``--config``) plus flag
 overrides.  Numeric output uses 17-significant-digit formatting, which
-round-trips every double exactly, and is byte-identical across thread
-counts.
+round-trips every double exactly.  Evaluation is serial; ``--threads`` is
+accepted for compatibility and ignored, so output does not depend on it.
 
 Exit codes: 0 ok, 2 parse error (config or expression), 3 validity error
 (order bounds, hypotheses, domains), 4 identity residual above tolerance
@@ -149,11 +149,11 @@ def _cmd_verify(config, args) -> int:
             eta1 = _fn2_from_config(config, "eta1")
             eta2 = _fn2_from_config(config, "eta2")
             rep = verify_ibp(f, g, eta1, eta2, alpha1, alpha2, rect,
-                             int(outer_grid), cfg, tolerance, args.threads)
+                             int(outer_grid), cfg, tolerance)
         else:
             eta = _fn2_from_config(config, "eta")
             rep = verify_green(f, g, eta, alpha1, alpha2, rect,
-                               int(outer_grid), cfg, tolerance, args.threads)
+                               int(outer_grid), cfg, tolerance)
         out.write(f"{level},{int(outer_grid)},{int(panels)},"
                   f"{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.residual)}\n")
         last = rep
@@ -213,14 +213,13 @@ def _cmd_solve(config, args) -> int:
         max_iter=int(config.get("max_iter", 500)),
         el_grid=int(config.get("el_grid", 4)),
         coeffs0=None if coeffs0 is None else [float(c) for c in coeffs0],
-        threads=args.threads,
     )
     sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0 if report.converged else 5
 
 
 def _cmd_selftest(args) -> int:
-    ok = _selftest.run(sys.stdout, threads=args.threads, seed=args.seed)
+    ok = _selftest.run(sys.stdout, seed=args.seed)
     return 0 if ok else 4
 
 
@@ -239,7 +238,7 @@ def _parse_args(argv):
                         help="override the config tolerance (verify: residual gate; "
                              "solve: optimizer gradient tolerance)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the rows of outer integrals (op ignores it)")
+                        help="accepted and ignored: evaluation is serial")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the random instances in selftest")
     return parser.parse_args(argv)

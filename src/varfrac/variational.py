@@ -212,7 +212,6 @@ class BoundaryData:
                     + (1 - x) * left(t2) + x * right(t2) - blend)
 
         def d_t1(t1, t2):
-            x = (t1 - a1) / w1
             y = (t2 - a2) / w2
             blend = (-(1 - y) * c_aa + (1 - y) * c_ba - y * c_ab + y * c_bb) / w1
             return ((1 - y) * d_bottom(t1) + y * d_top(t1)
@@ -357,8 +356,8 @@ def _caputo_pair(u2: SmoothFn2, alpha1: VariableOrder, alpha2: VariableOrder,
 
 
 def functional_eval(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
-                    rect: Rect2, outer_grid: int = 20, cfg: QuadConfig = DEFAULT_QUAD,
-                    threads: int = 1) -> float:
+                    rect: Rect2, outer_grid: int = 20,
+                    cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """J[u]: clustered tensor quadrature of L(t, u, CapD1 u, CapD2 u)."""
     u2 = _as_fn2(u)
     cap1, cap2 = _caputo_pair(u2, alpha1, alpha2, rect, cfg)
@@ -366,12 +365,12 @@ def functional_eval(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrd
     def integrand(t1, t2):
         return L.L(t1, t2, u2(t1, t2), cap1(t1, t2), cap2(t1, t2))
 
-    return tensor_integral(integrand, rect, outer_grid, threads)
+    return tensor_integral(integrand, rect, outer_grid)
 
 
 def string_action(sigma, tension: float, u, alpha1: VariableOrder,
                   alpha2: VariableOrder, rect: Rect2, outer_grid: int = 20,
-                  cfg: QuadConfig = DEFAULT_QUAD, threads: int = 1) -> float:
+                  cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Action of the vibrating string with density sigma and constant tension.
 
     Axis 1 is time, axis 2 is space.  ``sigma`` must be continuous and
@@ -383,7 +382,7 @@ def string_action(sigma, tension: float, u, alpha1: VariableOrder,
     if not np.all(np.isfinite(sv)) or np.any(sv <= 0.0):
         raise DomainError("string density sigma must be positive on the space interval")
     lagr = Lagrangian.string(sigma, tension)
-    return functional_eval(lagr, u, alpha1, alpha2, rect, outer_grid, cfg, threads)
+    return functional_eval(lagr, u, alpha1, alpha2, rect, outer_grid, cfg)
 
 
 def _composed_slot_fields(L: Lagrangian, u2: SmoothFn2, alpha1: VariableOrder,
@@ -410,7 +409,7 @@ class ElResidualReport:
 
 def el_residual(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
                 rect: Rect2, point_grid: int = 8, cfg: QuadConfig = DEFAULT_QUAD,
-                h: Optional[float] = None, threads: int = 1) -> ElResidualReport:
+                h: Optional[float] = None) -> ElResidualReport:
     """Residual of the stationarity equation on a uniform interior grid.
 
     R(t) = dL/du{u}(t) + right-RL-D^alpha1 of dL/dd1{u} along axis 1
@@ -433,7 +432,7 @@ def el_residual(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
                 + partial_op(OpKind.D_RL_RIGHT, 1, f_d1, alpha1, p, rect, cfg, h)
                 + partial_op(OpKind.D_RL_RIGHT, 2, f_d2, alpha2, p, rect, cfg, h))
 
-    values = np.vstack(map_ordered(row, range(point_grid), threads))
+    values = np.vstack(map_ordered(row, range(point_grid)))
     l2 = float(np.sqrt(np.mean(values ** 2) * rect.area))
     return ElResidualReport(g1, g2, values, l2)
 
@@ -461,7 +460,7 @@ def _check_zero_trace(eta: SmoothFn2, rect: Rect2):
 
 def first_variation(L: Lagrangian, u, eta, alpha1: VariableOrder,
                     alpha2: VariableOrder, rect: Rect2, outer_grid: int = 20,
-                    cfg: QuadConfig = DEFAULT_QUAD, threads: int = 1) -> float:
+                    cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Directional derivative of J at u along a zero-trace variation eta.
 
     Integrates dL/du * eta + dL/dd1 * CapD1 eta + dL/dd2 * CapD2 eta, the
@@ -478,7 +477,7 @@ def first_variation(L: Lagrangian, u, eta, alpha1: VariableOrder,
         return (L.dL_du(*args) * eta2(t1, t2) + L.dL_dd1(*args) * ecap1(t1, t2)
                 + L.dL_dd2(*args) * ecap2(t1, t2))
 
-    return tensor_integral(integrand, rect, outer_grid, threads)
+    return tensor_integral(integrand, rect, outer_grid)
 
 
 def _ritz_tables(expansion: RitzExpansion, psi: BoundaryData,
@@ -547,7 +546,7 @@ def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
                outer_grid: int = 20, cfg: QuadConfig = DEFAULT_QUAD,
                opt_tol: float = 1e-7, max_iter: int = 500, *,
                el_grid: int = 4, el_cfg: Optional[QuadConfig] = None,
-               coeffs0=None, threads: int = 1) -> SolveReport:
+               coeffs0=None) -> SolveReport:
     """Direct minimization of J over the Ritz space for the given boundary data.
 
     ``n_modes`` is the mode count per axis (n_modes**2 coefficients).  The
@@ -555,8 +554,7 @@ def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
     the gradient norm reached, and the stationarity residual of the
     solution on an ``el_grid`` x ``el_grid`` interior grid (``el_grid=0``
     skips that, leaving NaN).  BFGS gets the exact gradient of the
-    tabulated J from the declared partials of ``L``; ``threads`` fans out
-    the rows of the stationarity residual only.
+    tabulated J from the declared partials of ``L``.  Evaluation is serial.
     """
     expansion = RitzExpansion.zero(psi, n_modes)
     if coeffs0 is not None:
@@ -569,7 +567,7 @@ def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
 
     if el_grid > 0:
         rep = el_residual(L, solution, alpha1, alpha2, rect, el_grid,
-                          el_cfg or cfg, threads=threads)
+                          el_cfg or cfg)
         el_l2 = rep.l2
     else:
         el_l2 = float("nan")

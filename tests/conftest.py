@@ -4,6 +4,9 @@ Expected values come from mpmath (high-precision Gamma) or explicit
 brute-force quadrature, never from the code paths under test.
 """
 
+import os
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -105,6 +108,21 @@ class BubblePoly2:
 
     def as_smooth_fn2(self) -> SmoothFn2:
         return SmoothFn2(self.value, self.d1, self.d2, check=False)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_pythonpath():
+    """Put this checkout's src/ first on PYTHONPATH, so child interpreters
+    (``python -m varfrac.cli``) import the package under test; pytest's
+    ``pythonpath`` setting reaches only its own process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    old = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = src if not old else src + os.pathsep + old
+    yield
+    if old is None:
+        del os.environ["PYTHONPATH"]
+    else:
+        os.environ["PYTHONPATH"] = old
 
 
 @pytest.fixture

@@ -240,6 +240,30 @@ class TestSolveCommand:
         assert "not finite at corner" in err
 
 
+class TestThreadsFlagIgnored:
+    @pytest.mark.parametrize("command, config", [
+        ("verify", {
+            "identity": "ibp",
+            "f": "1+t1", "g": "t2", "eta1": "t1*t2", "eta2": "1-t2",
+            "alpha1": "0.4+0.1*t", "alpha2": "0.5+0.1*tau", "l1": 3, "l2": 3,
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+            "ladder": [[8, 8], [10, 10]], "tolerance": 1e-30,
+        }),
+        ("solve", {
+            "lagrangian": "quadratic", "psi": 1.0,
+            "alpha1": "0.4", "alpha2": "0.3+0.1*t", "l1": 3, "l2": 3,
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+            "n_modes": 2, "outer_grid": 8, "el_grid": 2,
+        }),
+    ], ids=["verify", "solve"])
+    def test_same_output_for_any_threads_value(self, tmp_path, capsys, command, config):
+        cfg = write_config(tmp_path, config)
+        runs = [run_cli(capsys, [command, "--config", cfg, "--threads", n])
+                for n in ("1", "4")]
+        assert runs[0][1]  # the command printed its report
+        assert runs[0][:2] == runs[1][:2]
+
+
 class TestCommandResolution:
     def test_missing_command_exit_2(self, capsys):
         code, _, err = run_cli(capsys, [])

@@ -67,14 +67,6 @@ class TestVerifyIbp:
                                  al2, al1, UNIT_RECT, outer_grid=12)
         assert rep_swapped.residual == pytest.approx(rep.residual, abs=1e-10)
 
-    def test_threads_deterministic(self, rng):
-        al1 = ibp_alpha(fn=lambda t, tau: 0.4 + 0.1 * t)
-        al2 = ibp_alpha(fn=lambda t, tau: 0.5 + 0.1 * tau)
-        f, g, e1, e2 = (random_poly2(rng).as_smooth_fn2() for _ in range(4))
-        r1 = verify_ibp(f, g, e1, e2, al1, al2, UNIT_RECT, outer_grid=10, threads=1)
-        r8 = verify_ibp(f, g, e1, e2, al1, al2, UNIT_RECT, outer_grid=10, threads=8)
-        assert r1.lhs == r8.lhs and r1.rhs == r8.rhs
-
     def test_report_json_fields(self):
         a = ibp_alpha(0.5)
         rep = verify_ibp(ZERO, ZERO, ZERO, ZERO, a, a, UNIT_RECT, outer_grid=8)

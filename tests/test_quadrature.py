@@ -1,7 +1,10 @@
+import functools
+
+import mpmath as mp
 import numpy as np
 import pytest
 
-from varfrac import (DomainError, QuadConfig, Side,
+from varfrac import (DomainError, Interval, QuadConfig, Rect2, Side,
                      SingularKernelSpec, ValidityError, VariableOrder,
                      WeightShift, clustered_gl, line_integral_edge,
                      singular_integral, tensor_integral)
@@ -126,6 +129,70 @@ class TestSingularIntegral:
         assert abs(v - wrong) > 1e-2
 
 
+# a strongly graded mesh; with the default 10 nodes per panel the outermost
+# panel [0.15 S, S] caps this grading at ~4e-8 (see the README's error floor)
+_SWEEP_GRADED = QuadConfig(panels=30, nodes_per_panel=14, grading=0.15)
+
+
+def _sweep_order(c, varying, lib):
+    """Order c, plus a (t, tau) ripple of half its distance to 0 or 1 when varying."""
+    amp = 0.5 * min(c, 1.0 - c) if varying else 0.0
+    return lambda t, tau: c + amp * lib.sin(t + 2 * tau)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_case(c, varying, side, shift, a, b):
+    """(lo, hi, exact) for h = exp(distance to the regular end) over 3/4 of [a, b].
+
+    With y the distance to the singular point and S = hi - lo the value is
+    int_0^S y^(beta - 1) / Gamma(beta) exp(S - y) dy.  For constant beta it
+    is exp(S) P(beta, S) (regularized lower incomplete Gamma).  Otherwise
+    v = y^beta0, with beta0 = beta at the singular point, moves the
+    singularity out of the integrand, and mp.quad integrates
+    (1/beta0) y^(beta - beta0) / Gamma(beta) exp(S - y) over v.
+    """
+    S = 0.75 * (b - a)
+    lo, hi = (a, a + S) if side is Side.LEFT else (b - S, b)
+    t = mp.mpf(hi if side is Side.LEFT else lo)
+    step = -1 if side is Side.LEFT else 1
+    order = _sweep_order(c, varying, mp)
+
+    def beta(y):
+        tau = t + step * y
+        alpha = order(t, tau) if side is Side.LEFT else order(tau, t)
+        return alpha if shift is WeightShift.INTEGRAL else 1 - alpha
+
+    beta0 = beta(mp.mpf(0))
+
+    def over_v(v):
+        y = v ** (1 / beta0)
+        return y ** (beta(y) - beta0) / mp.gamma(beta(y)) * mp.exp(S - y)
+
+    V = mp.mpf(S) ** beta0
+    exact = mp.quad(over_v, [0, V / 2, V]) / beta0
+    if not varying:
+        closed = mp.exp(S) * mp.gammainc(beta0, 0, S, regularized=True)
+        assert abs(exact - closed) <= 1e-20 * abs(closed)  # the oracles agree
+        exact = closed
+    return lo, hi, float(exact)
+
+
+class TestMpmathSweep:
+    @pytest.mark.parametrize("cfg", [DEFAULT_QUAD, _SWEEP_GRADED], ids=["default", "graded"])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.3, 1.7)], ids=["unit", "shifted"])
+    @pytest.mark.parametrize("shift", list(WeightShift), ids=lambda w: w.value)
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
+    @pytest.mark.parametrize("varying", [False, True], ids=["const", "varying"])
+    @pytest.mark.parametrize("c", [0.001, 0.5, 0.999])
+    def test_singular_integral_within_contract(self, c, varying, side, shift, a, b, cfg):
+        # QuadConfig's 1e-8 relative contract against high-precision oracles
+        lo, hi, exact = _sweep_case(c, varying, side, shift, a, b)
+        alpha = VariableOrder(_sweep_order(c, varying, np), Interval(a, b))
+        h = (lambda s: np.exp(s - lo)) if side is Side.LEFT else (lambda s: np.exp(hi - s))
+        v = singular_integral(SingularKernelSpec(alpha, side, shift), h, lo, hi, cfg)
+        assert abs(v - exact) <= 1e-8 * abs(exact)
+
+
 class TestLineIntegralEdge:
     def test_constant(self):
         assert line_integral_edge(lambda s: 1.0, 0.0, 2.0, +1) == pytest.approx(2.0, abs=1e-13)
@@ -143,6 +210,11 @@ class TestLineIntegralEdge:
         with pytest.raises(DomainError):
             line_integral_edge(lambda s: 1.0, 0.0, 1.0, 2)
 
+    def test_nonfinite_integrand_names_node(self):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValidityError, match=r"not finite at s = 0\.0"):
+            line_integral_edge(lambda s: np.sqrt(s - 0.5), 0.0, 1.0, 1)
+
 
 class TestClusteredRule:
     def test_smooth_integrand(self):
@@ -158,8 +230,9 @@ class TestClusteredRule:
         v = tensor_integral(lambda t1, t2: t1 * t2 ** 2, UNIT_RECT, 16)
         assert v == pytest.approx(0.5 / 3.0, abs=1e-11)
 
-    def test_tensor_integral_threads_deterministic(self):
-        field = lambda t1, t2: np.sin(3 * t1) * np.cos(2 * t2) + t1 ** 2
-        v1 = tensor_integral(field, UNIT_RECT, 20, threads=1)
-        v8 = tensor_integral(field, UNIT_RECT, 20, threads=8)
-        assert v1 == v8
+    def test_tensor_integral_nonfinite_field_names_node(self):
+        field = lambda t1, t2: np.sqrt(t1 - 0.5) + 0 * t2
+        first = f"{clustered_gl(0.0, 1.0, 8)[0][0]:.6g}"  # the first (t1, t2) node
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValidityError, match=rf"nan is not finite at \(t1, t2\) = \({first}, {first}\)"):
+            tensor_integral(field, Rect2.of(0, 1, 0, 1), 8)

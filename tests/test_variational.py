@@ -139,6 +139,15 @@ class TestFunctionalEval:
         assert exact == pytest.approx(0.7522527781, abs=1e-9)
         assert v == pytest.approx(exact, rel=1e-9)
 
+    def test_nonfinite_lagrangian_names_node(self):
+        L = Lagrangian(lambda t1, t2, u, d1, d2: np.sqrt(t1 - 0.5) + u,
+                       lambda t1, t2, u, d1, d2: 1.0 + 0.0 * u,
+                       lambda t1, t2, u, d1, d2: 0.0 * u,
+                       lambda t1, t2, u, d1, d2: 0.0 * u, check=False)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValidityError, match=r"nan is not finite at \(t1, t2\)"):
+            functional_eval(L, U_CONST, A05, A05, UNIT_RECT, 8)
+
 
 class TestStringAction:
     def test_zero_and_constant_displacements(self):
