@@ -266,13 +266,16 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if command == "op":
-            return _cmd_op(config, args)
-        if command == "verify":
-            return _cmd_verify(config, args)
-        if command == "solve":
-            return _cmd_solve(config, args)
-        return _cmd_selftest(args)
+        # a non-finite value is reported by the library's finiteness checks
+        # as a validity error, so numpy's floating-point warnings stay off
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            if command == "op":
+                return _cmd_op(config, args)
+            if command == "verify":
+                return _cmd_verify(config, args)
+            if command == "solve":
+                return _cmd_solve(config, args)
+            return _cmd_selftest(args)
     except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -257,14 +257,9 @@ class SmoothFn2:
         for axis, part in ((1, self.d_t1), (2, self.d_t2)):
             if part is None:
                 continue
-            step = rect.axis(axis).length * 1e-6
-            if axis == 1:
-                fd = (self.value(p1 - 2 * step, p2) - 8 * self.value(p1 - step, p2)
-                      + 8 * self.value(p1 + step, p2) - self.value(p1 + 2 * step, p2)) / (12 * step)
-            else:
-                fd = (self.value(p1, p2 - 2 * step) - 8 * self.value(p1, p2 - step)
-                      + 8 * self.value(p1, p2 + step) - self.value(p1, p2 + 2 * step)) / (12 * step)
-            err = np.max(np.abs(fd - part(p1, p2)))
+            along, frozen = (p1, p2) if axis == 1 else (p2, p1)
+            fd = _fd_derivative(self.section(axis, frozen).value, rect.axis(axis).length * 1e-6)
+            err = np.max(np.abs(fd(along) - part(p1, p2)))
             if not err <= 1e-6:
                 raise ValidityError(
                     f"declared partial along axis {axis} disagrees with a finite "

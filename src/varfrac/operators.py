@@ -20,9 +20,10 @@ Conventions, applied uniformly through :class:`SingularKernelSpec`:
   genuinely undefined.
 
 Every operator takes a scalar or an array of points and returns a float or
-an array of that shape; the kernel integrals of a call go to the quadrature
-engine in bounded batches, each value bit-identical to the one-point call.
-All operations are pure.
+an array of that shape.  The kernel integrals of a call go in bounded
+batches to :class:`KernelRule`, one rule per batch with one row per point;
+each row is reduced on its own, so every value is bit-identical to the
+one-point call.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from .domain import Rect2, SmoothFn1, SmoothFn2, VariableOrder
 from .errors import DomainError
-from .quadrature import (DEFAULT_QUAD, QuadConfig, Side, SingularKernelSpec,
-                         WeightShift, _graded_integrals)
+from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
+                         WeightShift)
 
 # step = min(h, _STEP_DISTANCE_FRACTION * distance-to-singular-endpoint)
 _STEP_DISTANCE_FRACTION = 0.1
@@ -128,8 +129,14 @@ def _apply(kind: OpKind, sections, alpha: VariableOrder, a: float, b: float,
     integral = kind in (OpKind.I_LEFT, OpKind.I_RIGHT)
     spec = SingularKernelSpec(alpha, Side.LEFT if left else Side.RIGHT,
                               WeightShift.INTEGRAL if integral else WeightShift.DERIVATIVE)
-    # kernel integrals of fn at points x: over [a, x] left, over [x, b] right
-    integrals = lambda fn, x: _graded_integrals(spec, fn, *((a, x) if left else (x, b)), cfg)
+
+    def integrals(fn, x):
+        """Kernel integrals of fn at the points x: over [a, x] left, over [x, b] right."""
+        if not x.size:
+            return np.empty(0)
+        rule = KernelRule(spec, *((a, x) if left else (x, b)), cfg)
+        return rule.integrate(fn(rule.tau))
+
     if rl:
         F = lambda x, rows: integrals(sections(rows).value, x)
         step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
@@ -148,7 +155,7 @@ def _apply(kind: OpKind, sections, alpha: VariableOrder, a: float, b: float,
 def _chunked(apply, points: np.ndarray, cfg: QuadConfig):
     """``apply`` over slices of the flattened points, each within _BATCH_NODES,
     reassembled as a float for a scalar point and else in the points' shape."""
-    n, step = points.size, max(1, _BATCH_NODES // (cfg.panels * cfg.nodes_per_panel + 1))
+    n, step = points.size, max(1, _BATCH_NODES // cfg.range_nodes)
     values = (apply(slice(None)) if n <= step
               else np.concatenate([apply(slice(i, i + step)) for i in range(0, n, step)]))
     return float(values[0]) if points.ndim == 0 else values.reshape(points.shape)

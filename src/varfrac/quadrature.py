@@ -13,11 +13,19 @@ point, where polynomial quadrature stalls; its contribution is integrated
 in closed form with ``beta`` and ``h`` frozen at the singular point.  The
 sliver is ~1e-14 of the range at the default config, so the freezing error
 is far below the panel error.
+
+Every kernel integral goes through one :class:`KernelRule`: the kernel,
+panel weights and closed-form sliver of P ranges folded into one (P, N+1)
+weight matrix, called against integrand values at its nodes.  Each row is
+reduced by its own dot product, so a range gives the same bits alone
+(:func:`singular_integral`), in a batch of operator points, or under the
+leading axes of a Ritz table.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,8 +56,10 @@ class QuadConfig:
     ratio ``grading``; each panel carries ``nodes_per_panel`` Gauss-Legendre
     nodes.  The defaults meet 1e-8 relative error on the power-law oracle
     cases at sub-millisecond cost per integral.  The outermost panel
-    [grading * S, S] sets the error floor, so a smaller ``grading`` needs
-    more nodes per panel: at 10 nodes, grading 0.15 reaches only ~4e-8.
+    [grading * S, S] would set the error floor, so a ``grading`` below 1/4
+    splits each panel into the fewest equal-ratio sub-panels of ratio at
+    least 1/4 (two at 0.15, three at 0.05), each with ``nodes_per_panel``
+    nodes.
     """
 
     panels: int = 24
@@ -63,6 +73,11 @@ class QuadConfig:
             raise DomainError(f"nodes_per_panel must be an integer >= 2, got {self.nodes_per_panel}")
         if not 0.0 < self.grading < 1.0:
             raise DomainError(f"grading must lie in (0, 1), got {self.grading}")
+
+    @property
+    def range_nodes(self) -> int:
+        """Kernel nodes per integration range: the panel nodes and the branch point."""
+        return _unit_panel_nodes(self.panels, self.nodes_per_panel, self.grading)[0].size + 1
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -101,9 +116,13 @@ class SingularKernelSpec:
 
 @lru_cache(maxsize=64)
 def _unit_panel_nodes(panels: int, nodes: int, grading: float):
-    """Nodes/weights of the graded rule on [0, 1]; scale by S to use."""
+    """Nodes/weights of the graded rule on [0, 1] and the sliver length;
+    scale by S to use.  A grading below 1/4 splits each panel into
+    sub-panels as :class:`QuadConfig` describes."""
     x, w = gauss_legendre(nodes)
-    edges = grading ** np.arange(panels + 1)
+    # the tolerance absorbs round-off in the log ratio at powers of 1/4
+    sub = max(1, math.ceil(math.log(grading) / math.log(0.25) - 1e-9))
+    edges = grading ** (np.arange(panels * sub + 1) / sub)
     hi, lo = edges[:-1], edges[1:]
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
@@ -112,17 +131,6 @@ def _unit_panel_nodes(panels: int, nodes: int, grading: float):
     s.setflags(write=False)
     ws.setflags(write=False)
     return s, ws, edges[-1]
-
-
-def _effective_exponent(spec: SingularKernelSpec, t_sing, tau):
-    if spec.side is Side.LEFT:
-        alpha = spec.exponent(t_sing, tau)
-    else:
-        alpha = spec.exponent(tau, t_sing)
-    alpha = np.asarray(alpha, dtype=float)
-    if spec.weight_shift is WeightShift.DERIVATIVE:
-        return 1.0 - alpha
-    return alpha
 
 
 def _raise_first(bad: np.ndarray, what: str, values: np.ndarray, node):
@@ -139,102 +147,67 @@ def _require_finite(values: np.ndarray, what: str, node):
         _raise_first(~finite, what + " {} is not finite", values, node)
 
 
-def _kernel_node(spec: SingularKernelSpec, t_sing: np.ndarray, tau: np.ndarray):
-    """Names the node of an index into (..., P, N+1) values sampled at ``tau``."""
-    return lambda idx: (f"(t, tau) = ({t_sing[idx[-2]]:.6g}, {tau[idx[-2:]]:.6g}) "
-                        f"[side={spec.side.value}, weight={spec.weight_shift.value}]")
-
-
-def _kernel_nodes(spec: SingularKernelSpec, lo, hi, cfg: QuadConfig):
-    """Nodes and kernel factors of the graded rule for P ranges, each with
-    ``hi > lo``; the singular end is a 1-D array, the other end may be a
-    scalar.
-
-    Returns ``(t_sing, tau, ws, kernel, sliver, beta0, inv_gamma0)``:
-    the (P,) singular ends, the (P, N+1) node matrix whose rows end with
-    their branch points, the (P, N) panel weights, the (P, N) kernel
-    ``s**(beta - 1) / Gamma(beta)`` at the panel nodes, and the sliver
-    lengths, exponents and 1/Gamma at the branch points, each (P,).  The
-    order function and Gamma are called once.  Raises ValidityError,
-    naming the node, if an effective exponent leaves (0, 1).
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    t_sing = hi if spec.side is Side.LEFT else lo
-    s, ws, sliver = _unit_panel_nodes(cfg.panels, cfg.nodes_per_panel, cfg.grading)
-    S = hi - lo
-    s = S[:, None] * s
-    ws = S[:, None] * ws
-    sliver = S * sliver
-    t_col = t_sing[:, None]
-    # the branch point itself rides along as the last node of each row
-    tau = np.concatenate([t_col - s if spec.side is Side.LEFT else t_col + s, t_col], axis=1)
-
-    beta = _effective_exponent(spec, t_col, tau)
-    if not (float(beta.min()) > 0.0 and float(beta.max()) < 1.0):  # catches NaN too
-        _raise_first(~((beta > 0.0) & (beta < 1.0)), "effective kernel exponent {} outside (0, 1)",
-                     beta, _kernel_node(spec, t_sing, tau))
-    inv_gamma = 1.0 / gamma(beta)
-    kernel = s ** (beta[:, :-1] - 1.0) * inv_gamma[:, :-1]
-    return t_sing, tau, ws, kernel, sliver, beta[:, -1], inv_gamma[:, -1]
-
-
-def _graded_integrals(spec: SingularKernelSpec, h, lo, hi,
-                      cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """:func:`singular_integral` over P ranges, each with ``hi > lo``.
-
-    The singular end is a 1-D array, the other end may be a scalar.  The
-    order function, Gamma and ``h`` are each called once, on the (P, N+1)
-    node matrix of :func:`_kernel_nodes`.  Each row is reduced by its own
-    dot product, so every result is bit-identical to a one-range call.
-    Raises ValidityError, naming the node, if an effective exponent leaves
-    (0, 1) or an integrand value is not finite.
-    """
-    if not np.size(hi if spec.side is Side.LEFT else lo):
-        return np.empty(0)
-    t_sing, tau, ws, kernel, sliver, beta0, inv_gamma0 = _kernel_nodes(spec, lo, hi, cfg)
-    hv = np.asarray(h(tau), dtype=float)
-    if hv.shape != tau.shape:
-        hv = np.broadcast_to(hv, tau.shape)
-    _require_finite(hv, "integrand value", _kernel_node(spec, t_sing, tau))
-    terms = kernel * hv[:, :-1]
-
-    out = np.empty(t_sing.size)
-    for p in range(t_sing.size):
-        total = float(ws[p] @ terms[p])
-        # closed-form singular sliver with beta and h frozen at the branch point
-        b0 = float(beta0[p])
-        total += float(hv[p, -1]) * sliver[p] ** b0 / b0 * float(inv_gamma0[p])
-        out[p] = total
-    return out
-
-
 class KernelRule:
-    """The graded rule of P ranges as one (P, N+1) weight matrix.
+    """The graded rule of P ranges as (P, N+1) nodes and one weight matrix.
 
-    ``weights`` holds the panel weights times ``s**(beta - 1) / Gamma(beta)``
-    and, in the last column, the closed-form sliver weight, so the integral
-    of h over range p is ``sum_q weights[p, q] * h(tau[p, q])``.  The
-    nodes, exponents and exponent check are those of
-    :func:`_graded_integrals`; one rule serves any number of integrands.
-    Results agree with :func:`_graded_integrals` to rounding, not bit for
-    bit, since the sums are ordered differently.
+    Range p runs from ``lo`` to ``hi[p]`` for a left kernel and from
+    ``lo[p]`` to ``hi`` for a right one: the singular end is a (P,) array
+    of points inside their ranges, the other end may be a scalar.  Row p of
+    ``tau`` holds the graded panel nodes followed by the branch point, and
+    row p of ``weights`` the panel weights times ``s**(beta - 1) /
+    Gamma(beta)`` followed by the closed-form sliver weight, with beta and
+    the integrand frozen at the branch point.  The integral of h over range
+    p is ``sum_q weights[p, q] * h(tau[p, q])``; one rule serves any number
+    of integrands.  The order function and Gamma are called once.  Raises
+    ValidityError, naming the node, if an effective exponent leaves (0, 1).
     """
 
     def __init__(self, spec: SingularKernelSpec, lo, hi, cfg: QuadConfig = DEFAULT_QUAD):
         self.spec = spec
-        self.t_sing, self.tau, ws, kernel, sliver, beta0, inv_gamma0 = \
-            _kernel_nodes(spec, lo, hi, cfg)
+        left = spec.side is Side.LEFT
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        self.t_sing = hi if left else lo
+        s, ws, sliver = _unit_panel_nodes(cfg.panels, cfg.nodes_per_panel, cfg.grading)
+        S = hi - lo
+        s = S[:, None] * s
+        t_col = self.t_sing[:, None]
+        # the branch point itself rides along as the last node of each row
+        self.tau = np.concatenate([t_col - s if left else t_col + s, t_col], axis=1)
+
+        beta = np.asarray(spec.exponent(t_col, self.tau) if left
+                          else spec.exponent(self.tau, t_col), dtype=float)
+        if spec.weight_shift is WeightShift.DERIVATIVE:
+            beta = 1.0 - beta
+        bad = ~((beta > 0.0) & (beta < 1.0))  # catches NaN too
+        if bad.any():
+            _raise_first(bad, "effective kernel exponent {} outside (0, 1)", beta, self._node)
+        inv_gamma = 1.0 / gamma(beta)
+        b0 = beta[:, -1]
         self.weights = np.concatenate(
-            [ws * kernel, (sliver ** beta0 / beta0 * inv_gamma0)[:, None]], axis=1)
+            [(S[:, None] * ws) * (s ** (beta[:, :-1] - 1.0) * inv_gamma[:, :-1]),
+             ((S * sliver) ** b0 / b0 * inv_gamma[:, -1])[:, None]], axis=1)
+
+    def _node(self, idx) -> str:
+        """Names the node of an index into (..., P, N+1) values sampled at ``tau``."""
+        return (f"(t, tau) = ({self.t_sing[idx[-2]]:.6g}, {self.tau[idx[-2:]]:.6g}) "
+                f"[side={self.spec.side.value}, weight={self.spec.weight_shift.value}]")
 
     def integrate(self, values) -> np.ndarray:
-        """Integrals of integrand values sampled at ``tau``: ``values`` has
-        shape (..., P, N+1) and the result (..., P).  Raises ValidityError,
-        naming the node, at a non-finite value."""
+        """Integrals of integrand values sampled at ``tau``.
+
+        ``values`` broadcasts against the (P, N+1) nodes and may carry any
+        leading axes; the result drops the last axis.  Each row is reduced
+        by its own dot product over contiguous values, which depends on
+        neither the other rows nor the leading axes, so a range integrates
+        to the same bits in any batch.  Raises ValidityError, naming the
+        node, at a non-finite value.
+        """
         values = np.asarray(values, dtype=float)
-        _require_finite(values, "integrand value",
-                        _kernel_node(self.spec, self.t_sing, self.tau))
-        return np.einsum("...pq,pq->...p", values, self.weights)
+        if values.shape[-2:] != self.tau.shape:
+            values = np.broadcast_to(values, values.shape[:-2] + self.tau.shape)
+        _require_finite(values, "integrand value", self._node)
+        rows = np.ascontiguousarray(values)[..., None, :]
+        return np.matmul(rows, self.weights[:, :, None])[..., 0, 0]
 
 
 def singular_integral(spec: SingularKernelSpec, h, lo: float, hi: float,
@@ -245,7 +218,9 @@ def singular_integral(spec: SingularKernelSpec, h, lo: float, hi: float,
     operator evaluated at t = hi integrates from a = lo); for ``side=RIGHT``
     it is the lower limit.  ``dist`` is the distance from tau to the
     singular point, and ``beta`` the effective exponent selected by the
-    kernel's weight shift, evaluated with the side's argument order.
+    kernel's weight shift, evaluated with the side's argument order.  The
+    value is that of a one-range :class:`KernelRule`; ``h`` is called once
+    on its (1, N+1) nodes and may return a scalar.
 
     An empty range returns 0 by continuity for integral-type kernels and is
     rejected for derivative-type kernels, whose callers need a genuine
@@ -259,7 +234,8 @@ def singular_integral(spec: SingularKernelSpec, h, lo: float, hi: float,
         raise ValidityError(
             f"degenerate range [{lo}, {hi}] with a derivative-weight kernel has no value"
         )
-    return float(_graded_integrals(spec, h, np.array([lo]), np.array([hi]), cfg)[0])
+    rule = KernelRule(spec, np.array([lo]), np.array([hi]), cfg)
+    return float(rule.integrate(h(rule.tau))[0])
 
 
 def line_integral_edge(h, lo: float, hi: float, orientation: int,

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from varfrac.cli import main
@@ -92,11 +91,24 @@ class TestOpCommand:
             "kind": "I_left", "f": "ln(tau - 0.5)", "alpha": "0.5",
             "a": 0.0, "b": 1.0, "grid": {"count": 1, "start": 0.8, "stop": 0.8},
         })
-        with np.errstate(invalid="ignore"):
-            code, out, err = run_cli(capsys, ["op", "--config", cfg])
+        code, out, err = run_cli(capsys, ["op", "--config", cfg])
         assert code == 3
         assert out == ""
         assert "not finite" in err
+
+    def test_nonfinite_integrand_stderr_is_one_line(self, tmp_path):
+        # no numpy warning, which would name the install path, precedes the error
+        cfg = write_config(tmp_path, {
+            "kind": "I_left", "f": "ln(tau - 0.5)", "alpha": "0.5",
+            "a": 0.0, "b": 1.0, "grid": {"count": 1, "start": 0.8, "stop": 0.8},
+        })
+        proc = subprocess.run([sys.executable, "-m", "varfrac.cli", "op", "--config", cfg],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("validity error: ") and "not finite" in lines[0]
 
     def test_round_trip_formatting(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -233,8 +245,7 @@ class TestSolveCommand:
             "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
             "n_modes": 1, "outer_grid": 8, "el_grid": 0,
         })
-        with np.errstate(invalid="ignore"):
-            code, out, err = run_cli(capsys, ["solve", "--config", cfg])
+        code, out, err = run_cli(capsys, ["solve", "--config", cfg])
         assert code == 3
         assert out == ""
         assert "not finite at corner" in err

@@ -8,7 +8,7 @@ from varfrac import (DomainError, Interval, QuadConfig, Rect2, Side,
                      SingularKernelSpec, ValidityError, VariableOrder,
                      WeightShift, clustered_gl, line_integral_edge,
                      singular_integral, tensor_integral)
-from varfrac.quadrature import DEFAULT_QUAD
+from varfrac.quadrature import DEFAULT_QUAD, KernelRule
 
 from conftest import UNIT, UNIT_RECT, mpgamma, random_poly1
 
@@ -129,9 +129,47 @@ class TestSingularIntegral:
         assert abs(v - wrong) > 1e-2
 
 
-# a strongly graded mesh; with the default 10 nodes per panel the outermost
-# panel [0.15 S, S] caps this grading at ~4e-8 (see the README's error floor)
+class TestKernelRule:
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
+    def test_batch_equals_one_range_calls(self, side):
+        # three integrands over P ranges in one call, each value bit for bit
+        alpha = VariableOrder(lambda t, tau: 0.35 + 0.1 * t + 0.05 * tau, UNIT)
+        spec = SingularKernelSpec(alpha, side, WeightShift.DERIVATIVE)
+        ends = np.linspace(0.05, 0.95, 7)
+        lo, hi = (0.0, ends) if side is Side.LEFT else (ends, 1.0)
+        hs = [lambda s: np.exp(s), lambda s: 1.0 + s - s * s, lambda s: np.cos(3.0 * s)]
+        rule = KernelRule(spec, lo, hi)
+        values = np.stack([h(rule.tau) for h in hs])
+        assert values.shape == (3,) + rule.tau.shape == (3, 7, DEFAULT_QUAD.range_nodes)
+        batch = rule.integrate(values)
+        assert batch.shape == (3, 7)
+        for k, h in enumerate(hs):
+            for p, end in enumerate(ends):
+                one = singular_integral(spec, h, *((0.0, end) if side is Side.LEFT else (end, 1.0)))
+                assert batch[k, p] == one
+            assert np.array_equal(rule.integrate(values[k]), batch[k])
+
+    def test_scalar_integrand_broadcasts(self):
+        spec = left_spec(VariableOrder(lambda t, tau: 0.3 + 0.2 * tau, UNIT))
+        v = singular_integral(spec, lambda s: 2.0, 0.1, 0.9)
+        assert v == singular_integral(spec, lambda s: 2.0 + 0.0 * s, 0.1, 0.9)
+        rule = KernelRule(spec, 0.1, np.array([0.5, 0.9]))
+        assert rule.integrate(2.0)[1] == v
+
+    def test_nonfinite_value_names_node(self):
+        spec = left_spec(VariableOrder.constant(0.5, UNIT))
+        rule = KernelRule(spec, 0.0, np.array([0.4, 0.8]))
+        values = np.ones((2,) + rule.tau.shape)
+        values[1, 1, 3] = np.inf
+        with pytest.raises(ValidityError, match=rf"inf is not finite at \(t, tau\) = "
+                                                rf"\(0\.8, {rule.tau[1, 3]:.6g}\)"):
+            rule.integrate(values)
+
+
+# a strongly graded mesh, whose panels are split into sub-panels of ratio
+# >= 1/4, at the default 10 and at 14 nodes per panel
 _SWEEP_GRADED = QuadConfig(panels=30, nodes_per_panel=14, grading=0.15)
+_SWEEP_GRADED_10 = QuadConfig(panels=30, grading=0.15)
 
 
 def _sweep_order(c, varying, lib):
@@ -178,7 +216,8 @@ def _sweep_case(c, varying, side, shift, a, b):
 
 
 class TestMpmathSweep:
-    @pytest.mark.parametrize("cfg", [DEFAULT_QUAD, _SWEEP_GRADED], ids=["default", "graded"])
+    @pytest.mark.parametrize("cfg", [DEFAULT_QUAD, _SWEEP_GRADED, _SWEEP_GRADED_10],
+                             ids=["default", "graded", "graded10"])
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.3, 1.7)], ids=["unit", "shifted"])
     @pytest.mark.parametrize("shift", list(WeightShift), ids=lambda w: w.value)
     @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
