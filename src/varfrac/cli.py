@@ -141,19 +141,14 @@ def _cmd_verify(config, args) -> int:
 
     out = sys.stdout
     out.write("level,outer_grid,panels,lhs,rhs,residual\n")
+    etas = [_fn2_from_config(config, name)
+            for name in (("eta1", "eta2") if identity == "ibp" else ("eta",))]
+    verify = verify_ibp if identity == "ibp" else verify_green
     last = None
     for level, (outer_grid, panels) in enumerate(ladder):
         cfg = QuadConfig(panels=int(panels), nodes_per_panel=quad.nodes_per_panel,
                          grading=quad.grading)
-        if identity == "ibp":
-            eta1 = _fn2_from_config(config, "eta1")
-            eta2 = _fn2_from_config(config, "eta2")
-            rep = verify_ibp(f, g, eta1, eta2, alpha1, alpha2, rect,
-                             int(outer_grid), cfg, tolerance)
-        else:
-            eta = _fn2_from_config(config, "eta")
-            rep = verify_green(f, g, eta, alpha1, alpha2, rect,
-                               int(outer_grid), cfg, tolerance)
+        rep = verify(f, g, *etas, alpha1, alpha2, rect, int(outer_grid), cfg, tolerance)
         out.write(f"{level},{int(outer_grid)},{int(panels)},"
                   f"{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.residual)}\n")
         last = rep

@@ -11,7 +11,8 @@ partial operators on a rectangle:
 
 Both verifiers return signed residuals; outer double integrals use the
 endpoint-clustered tensor Gauss-Legendre rule, the inner operators come
-from :mod:`varfrac.operators`.  Evaluation is serial and contributions are
+from :mod:`varfrac.operators`.  Each field, and each inner operator in it,
+is evaluated once on a whole outer grid (or probe grid, or edge) and
 reduced in fixed grid order, so results are deterministic.
 """
 
@@ -138,7 +139,7 @@ def _probe_c1(field, rect: Rect2, name: str):
     """Sample-check that a field is finite with bounded difference quotients."""
     t1 = np.linspace(rect.t1.a, rect.t1.b, _PROBE_GRID)
     t2 = np.linspace(rect.t2.a, rect.t2.b, _PROBE_GRID)
-    vals = np.array([np.broadcast_to(field(x, t2), t2.shape) for x in t1])
+    vals = np.broadcast_to(field(t1[:, None], t2[None, :]), (_PROBE_GRID, _PROBE_GRID))
     if not np.all(np.isfinite(vals)):
         raise ValidityError(f"{name} is not finite on the probe grid")
     scale = 1.0 + np.max(np.abs(vals))

@@ -1,9 +1,10 @@
-"""Ordered map over the rows of an outer grid.
+"""Ordered map, kept only for the benchmark's tracer.
 
-Evaluation is serial: a pool of two workers lost to the serial loop on
-every identity verification measured on a two-core host (Green: 74 ms
-serial, 103 ms pooled).  ``tensor_integral`` and ``el_residual`` map
-their rows here, so a profiler can count them.
+No module of the library calls :func:`map_ordered` any more: fields are
+evaluated once on whole grids.  ``perfbench/tracing.py`` still imports
+and wraps it by name, so deleting it would fail
+``tests/test_benchmark_smoke.py``.  The benchmark refresh (ROADMAP item 3)
+removes that wrapper, and then this module.
 """
 
 from __future__ import annotations

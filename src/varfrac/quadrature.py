@@ -292,20 +292,17 @@ def clustered_gl(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 def tensor_integral(field, rect, outer_grid: int) -> float:
     """Clustered tensor Gauss-Legendre integral of field(t1, t2) over a rectangle.
 
-    ``field`` is called once per row of the outer grid, with a scalar t1
-    and the vector of t2 nodes, and must broadcast.  Rows are evaluated in
-    order and contracted in a fixed order.  A non-finite field value raises
-    ValidityError naming the first such (t1, t2) node.
+    ``field`` is called once, on the whole outer grid: t1 nodes as a
+    column and t2 nodes as a row, and must broadcast.  The field matrix is
+    made contiguous before the fixed-order contraction, so a field that
+    returns a scalar sums in the same order as one that fills the grid.  A
+    non-finite field value raises ValidityError naming the first such
+    (t1, t2) node.
     """
-    from .parallel import map_ordered
-
     t1n, w1 = clustered_gl(rect.t1.a, rect.t1.b, outer_grid)
     t2n, w2 = clustered_gl(rect.t2.a, rect.t2.b, outer_grid)
-
-    def row(i):
-        return np.broadcast_to(np.asarray(field(t1n[i], t2n), dtype=float), t2n.shape)
-
-    m = np.vstack(map_ordered(row, range(outer_grid)))
+    m = np.ascontiguousarray(np.broadcast_to(field(t1n[:, None], t2n[None, :]),
+                                             (outer_grid, outer_grid)), dtype=float)
     _require_finite(m, "field value",
                     lambda idx: f"(t1, t2) = ({t1n[idx[0]]:.6g}, {t2n[idx[1]]:.6g})")
     return float(w1 @ m @ w2)

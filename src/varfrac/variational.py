@@ -31,7 +31,6 @@ from .domain import Rect2, SmoothFn1, SmoothFn2, VariableOrder, _as_array_fn
 from .errors import DomainError, ValidityError
 from .operators import OpKind, partial_op
 from .optimize import MinimizeResult, minimize_bfgs
-from .parallel import map_ordered
 from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
                          WeightShift, clustered_gl, tensor_integral)
 
@@ -296,22 +295,18 @@ class RitzExpansion:
     def mode_fn(self, index: int) -> SmoothFn2:
         """The index-th basis mode as a SmoothFn2 with analytic partials."""
         k, m = self.modes[index]
-        rect = self.rect
-        w1, w2 = rect.t1.length, rect.t2.length
+        w1, w2 = self.rect.t1.length, self.rect.t2.length
 
         def val(t1, t2):
-            x1 = (np.asarray(t1, float) - rect.t1.a) / w1
-            x2 = (np.asarray(t2, float) - rect.t2.a) / w2
+            x1, x2 = self._hat(t1, t2)
             return np.sin(k * np.pi * x1) * np.sin(m * np.pi * x2)
 
         def d1(t1, t2):
-            x1 = (np.asarray(t1, float) - rect.t1.a) / w1
-            x2 = (np.asarray(t2, float) - rect.t2.a) / w2
+            x1, x2 = self._hat(t1, t2)
             return (k * np.pi / w1) * np.cos(k * np.pi * x1) * np.sin(m * np.pi * x2)
 
         def d2(t1, t2):
-            x1 = (np.asarray(t1, float) - rect.t1.a) / w1
-            x2 = (np.asarray(t2, float) - rect.t2.a) / w2
+            x1, x2 = self._hat(t1, t2)
             return (m * np.pi / w2) * np.sin(k * np.pi * x1) * np.cos(m * np.pi * x2)
 
         return SmoothFn2(val, d1, d2, check=False)
@@ -418,21 +413,21 @@ def el_residual(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
     The composed slot fields are available only as callables, so their
     right derivatives use the same differentiate-the-integral scheme as the
     operators module; points close to the right edges automatically get
-    distance-scaled or one-sided stencils.  The report's ``l2`` is the
-    discrete L2 norm sqrt(mean(R^2) * area).
+    distance-scaled or one-sided stencils.  Each of the three terms is
+    evaluated once on the whole grid, t1 as a column and t2 as a row.  The
+    report's ``l2`` is the discrete L2 norm sqrt(mean(R^2) * area).  Raises
+    DomainError unless ``point_grid`` is a positive integer.
     """
+    if int(point_grid) != point_grid or point_grid < 1:
+        raise DomainError(f"point_grid must be a positive integer, got {point_grid}")
     u2 = _as_fn2(u)
     f_u, f_d1, f_d2 = _composed_slot_fields(L, u2, alpha1, alpha2, rect, cfg)
     g1 = rect.t1.interior_grid(point_grid)
     g2 = rect.t2.interior_grid(point_grid)
-
-    def row(i):
-        p = (g1[i], g2)
-        return (f_u(*p)
-                + partial_op(OpKind.D_RL_RIGHT, 1, f_d1, alpha1, p, rect, cfg, h)
-                + partial_op(OpKind.D_RL_RIGHT, 2, f_d2, alpha2, p, rect, cfg, h))
-
-    values = np.vstack(map_ordered(row, range(point_grid)))
+    p = (g1[:, None], g2[None, :])
+    values = (f_u(*p)
+              + partial_op(OpKind.D_RL_RIGHT, 1, f_d1, alpha1, p, rect, cfg, h)
+              + partial_op(OpKind.D_RL_RIGHT, 2, f_d2, alpha2, p, rect, cfg, h))
     l2 = float(np.sqrt(np.mean(values ** 2) * rect.area))
     return ElResidualReport(g1, g2, values, l2)
 

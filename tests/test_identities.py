@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from varfrac import (BoundMode, QuadConfig, SmoothFn2, ValidityError,
@@ -173,6 +174,16 @@ class TestProbe:
     def test_nan_field_rejected(self):
         with pytest.raises(ValidityError, match="not finite"):
             _probe_c1(lambda t1, t2: float("nan"), UNIT_RECT, "test field")
+
+    def test_one_call_on_whole_probe_grid(self):
+        shapes = []
+
+        def field(t1, t2):
+            shapes.append((np.shape(t1), np.shape(t2)))
+            return t1 + t2
+
+        _probe_c1(field, UNIT_RECT, "test field")
+        assert shapes == [((16, 1), (1, 16))]
 
     def test_right_co_integral_field_empty_at_b(self):
         a = green_alpha(0.4)

@@ -269,6 +269,27 @@ class TestClusteredRule:
         v = tensor_integral(lambda t1, t2: t1 * t2 ** 2, UNIT_RECT, 16)
         assert v == pytest.approx(0.5 / 3.0, abs=1e-11)
 
+    def test_tensor_integral_calls_field_once_on_whole_grid(self):
+        shapes = []
+
+        def field(t1, t2):
+            shapes.append((np.shape(t1), np.shape(t2)))
+            return t1 * t2 ** 2
+
+        v = tensor_integral(field, UNIT_RECT, 7)
+        assert shapes == [((7, 1), (1, 7))]
+        # reference: one outer-grid row per call
+        t, w = clustered_gl(0.0, 1.0, 7)
+        assert v == float(w @ np.vstack([t1 * t ** 2 for t1 in t]) @ w)
+
+    def test_tensor_integral_scalar_field_same_bits(self):
+        # a scalar field broadcasts to a stride-0 view; it must sum as a full grid does
+        rect = Rect2.of(-0.3, 0.9, 0.2, 1.5)
+        c = 0.7310585786300049
+        for n in (5, 13, 24):
+            assert (tensor_integral(lambda t1, t2: c, rect, n)
+                    == tensor_integral(lambda t1, t2: c + 0 * t1 + 0 * t2, rect, n))
+
     def test_tensor_integral_nonfinite_field_names_node(self):
         field = lambda t1, t2: np.sqrt(t1 - 0.5) + 0 * t2
         first = f"{clustered_gl(0.0, 1.0, 8)[0][0]:.6g}"  # the first (t1, t2) node

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from varfrac import (DEFAULT_QUAD, BoundaryData, BoundMode, DomainError,
-                     Lagrangian, OpKind, Rect2, RitzExpansion, SmoothFn2,
+                     Lagrangian, OpKind, QuadConfig, Rect2, RitzExpansion, SmoothFn2,
                      ValidityError, VariableOrder, clustered_gl, el_residual,
                      fd_gradient, first_variation, functional_eval, partial_op,
                      ritz_solve, string_action)
-from varfrac.variational import _ritz_objective, _ritz_tables
+from varfrac.variational import _composed_slot_fields, _ritz_objective, _ritz_tables
 
 from conftest import UNIT, UNIT_RECT, BubblePoly2, mpgamma, random_poly2
 
@@ -189,6 +189,38 @@ class TestElResidual:
                        lambda t1, t2, u, d1, d2: 0.0 * u, check=False)
         rep = el_residual(L, U_ZERO, A04, A04, UNIT_RECT, point_grid=3)
         assert np.max(np.abs(rep.values)) <= 1e-12
+
+    @pytest.mark.parametrize("point_grid", [0, -2, 2.5])
+    def test_point_grid_not_positive_integer_rejected(self, point_grid):
+        with pytest.raises(DomainError, match=f"positive integer, got {point_grid}"):
+            el_residual(Lagrangian.dirichlet(), U_CONST, A04, A04, UNIT_RECT,
+                        point_grid=point_grid)
+
+    def test_whole_grid_equals_row_by_row(self):
+        # non-unit rectangle, (t, tau)-varying orders, a nonzero lift and modes
+        rect, a1, a2, fn = _TABLE_CASES["varying_nonunit"]
+        alpha1, alpha2 = VariableOrder(a1, rect.t1), VariableOrder(a2, rect.t2)
+        u = RitzExpansion.zero(BoundaryData.from_function(fn, rect), 2).with_coeffs(
+            [0.3, -0.2, 0.1, 0.25])
+        L = Lagrangian(
+            lambda t1, t2, u, d1, d2: d1 ** 2 + 0.5 * d2 ** 2 + 0.2 * u ** 4 + t1 * u,
+            lambda t1, t2, u, d1, d2: 0.8 * u ** 3 + t1,
+            lambda t1, t2, u, d1, d2: 2.0 * d1,
+            lambda t1, t2, u, d1, d2: d2 + 0.0 * t2, rect=rect)
+        cfg = QuadConfig(panels=6, nodes_per_panel=4)
+        rep = el_residual(L, u, alpha1, alpha2, rect, point_grid=3, cfg=cfg)
+
+        # reference: one outer-grid row per call
+        f_u, f_d1, f_d2 = _composed_slot_fields(L, u.as_smooth_fn2(), alpha1, alpha2,
+                                                rect, cfg)
+        g2 = rect.t2.interior_grid(3)
+        ref = np.vstack([
+            f_u(t1, g2)
+            + partial_op(OpKind.D_RL_RIGHT, 1, f_d1, alpha1, (t1, g2), rect, cfg)
+            + partial_op(OpKind.D_RL_RIGHT, 2, f_d2, alpha2, (t1, g2), rect, cfg)
+            for t1 in rect.t1.interior_grid(3)])
+        assert np.max(np.abs(ref)) > 0.1
+        assert np.array_equal(rep.values, ref)
 
 
 class TestFirstVariation:
