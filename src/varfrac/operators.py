@@ -21,8 +21,11 @@ Conventions, applied uniformly through :class:`SingularKernelSpec`:
 
 Every operator takes a scalar or an array of points and returns a float or
 an array of that shape.  The kernel integrals of a call go in bounded
-batches to :class:`KernelRule`, one rule per batch with one row per point;
-each row is reduced on its own, so every value is bit-identical to the
+batches to :class:`KernelRule`.  The kernel depends on the singular
+endpoint alone, never on a frozen coordinate, so where a batch repeats
+endpoints (a grid of a partial operator) its rule has one row per distinct
+endpoint, gathered per point.  Rule construction is elementwise and each
+row is reduced on its own, so every value is bit-identical to the
 one-point call.  All operations are pure.
 """
 
@@ -121,7 +124,14 @@ def _apply(kind: OpKind, sections, alpha: VariableOrder, a: float, b: float,
            t: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool) -> np.ndarray:
     """The operator ``kind`` at the 1-D points t; ``sections(rows)`` is the
     one-variable integrand (a SmoothFn1) of the points t[rows], rows being
-    an index array or a mask.  Left kernels integrate from a, right to b."""
+    an index array or a mask.  Left kernels integrate from a, right to b.
+
+    For more than one point, each kernel rule is built over the distinct
+    singular endpoints, in order of first occurrence and compared by bits
+    (0.0 and -0.0 stay apart), and, where some endpoint repeats, its rows
+    are gathered per point; stencil points of a repeated t repeat too.  A
+    one-point call sorts nothing.  Errors name the first offending point,
+    as a rule of one row per point would."""
     left, rl = kind in _LEFT, kind in _RL
     # an empty range is allowed, and gives 0, everywhere but under an RL derivative
     _check((t > a if rl else t >= a) if left else (t < b if rl else t <= b), t,
@@ -134,7 +144,12 @@ def _apply(kind: OpKind, sections, alpha: VariableOrder, a: float, b: float,
         """Kernel integrals of fn at the points x: over [a, x] left, over [x, b] right."""
         if not x.size:
             return np.empty(0)
-        rule = KernelRule(spec, *((a, x) if left else (x, b)), cfg)
+        rows = None
+        if t.size > 1:
+            _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+            if first.size < x.size:
+                x, rows = x[np.sort(first)], np.argsort(np.argsort(first))[inverse]
+        rule = KernelRule(spec, *((a, x) if left else (x, b)), cfg, rows)
         return rule.integrate(fn(rule.tau))
 
     if rl:
@@ -232,7 +247,8 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
     broadcast together; the result has their broadcast shape.  Each point
     freezes the other coordinate of ``f``, and the matching one-variable
     operator acts on that section; by construction this is exactly the
-    partial operator definition.
+    partial operator definition.  Both coordinates of every point must lie
+    in the closed rectangle, else DomainError names the first that leaves.
     """
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
@@ -242,10 +258,11 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
     t1, t2 = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
     if t1.shape != t2.shape:
         t1, t2 = np.broadcast_arrays(t1, t2)
-    ti, frozen = (t1, t2) if axis == 1 else (t2, t1)
-    ti, frozen = ti.ravel(), frozen.ravel()
-    _check((ti >= interval.a) & (ti <= interval.b), ti,
-           lambda x: f"coordinate {x} leaves [{interval.a}, {interval.b}] along axis {axis}")
+    ti, frozen = (t1.ravel(), t2.ravel()) if axis == 1 else (t2.ravel(), t1.ravel())
+    for x, i in ((ti, axis), (frozen, 3 - axis)):
+        lo, hi = rect.axis(i).a, rect.axis(i).b
+        _check((x >= lo) & (x <= hi), x,
+               lambda v: f"coordinate {v} leaves [{lo}, {hi}] along axis {i}")
     return _chunked(lambda c: _apply(kind, lambda rows: f2.section(axis, frozen[c][rows, None]),
                                      alpha, interval.a, interval.b, ti[c], cfg, h,
                                      allow_fd_derivative), t1, cfg)

@@ -19,7 +19,8 @@ panel weights and closed-form sliver of P ranges folded into one (P, N+1)
 weight matrix, called against integrand values at its nodes.  Each row is
 reduced by its own dot product, so a range gives the same bits alone
 (:func:`singular_integral`), in a batch of operator points, or under the
-leading axes of a Ritz table.
+leading axes of a Ritz table; a range that repeats in a batch is built
+once and its row gathered.
 """
 
 from __future__ import annotations
@@ -160,9 +161,15 @@ class KernelRule:
     p is ``sum_q weights[p, q] * h(tau[p, q])``; one rule serves any number
     of integrands.  The order function and Gamma are called once.  Raises
     ValidityError, naming the node, if an effective exponent leaves (0, 1).
+
+    ``rows``, an index array into the ranges, builds each range once and
+    gathers it per point: row p is then range ``rows[p]``.  Construction
+    is elementwise in the ranges, so a gathered row has the bits of a row
+    built on its own.
     """
 
-    def __init__(self, spec: SingularKernelSpec, lo, hi, cfg: QuadConfig = DEFAULT_QUAD):
+    def __init__(self, spec: SingularKernelSpec, lo, hi, cfg: QuadConfig = DEFAULT_QUAD,
+                 rows=None):
         self.spec = spec
         left = spec.side is Side.LEFT
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -186,6 +193,9 @@ class KernelRule:
         self.weights = np.concatenate(
             [(S[:, None] * ws) * (s ** (beta[:, :-1] - 1.0) * inv_gamma[:, :-1]),
              ((S * sliver) ** b0 / b0 * inv_gamma[:, -1])[:, None]], axis=1)
+        if rows is not None:
+            self.t_sing, self.tau, self.weights = (
+                self.t_sing[rows], self.tau[rows], self.weights[rows])
 
     def _node(self, idx) -> str:
         """Names the node of an index into (..., P, N+1) values sampled at ``tau``."""

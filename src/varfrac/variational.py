@@ -484,8 +484,11 @@ def _ritz_tables(expansion: RitzExpansion, psi: BoundaryData,
     kernel rule per axis, assembled at that axis's outer nodes, serves
     every mode, the boundary lift and every node of the other axis: each
     table column is one contraction of the rule's weights with the
-    function's partial derivative at the rule's nodes.  After that every
-    J(c) evaluation is a handful of dense matrix products.
+    function's partial derivative at the rule's nodes.  The columns equal
+    :func:`partial_op` on the grid, which would build one rule per column
+    and evaluate each mode at every grid point instead of broadcasting its
+    factors, three times the cost of a small solve.  After that every J(c)
+    evaluation is a handful of dense matrix products.
     """
     t1n, w1 = clustered_gl(rect.t1.a, rect.t1.b, outer_grid)
     t2n, w2 = clustered_gl(rect.t2.a, rect.t2.b, outer_grid)

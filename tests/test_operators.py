@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import gamma as sgamma
 
-from varfrac import (ConfigurationError, DomainError, Interval, OpKind,
+from varfrac import (ConfigurationError, DomainError, Interval, OpKind, Rect2,
                      SmoothFn1, SmoothFn2, ValidityError, VariableOrder,
                      left_caputo_derivative, left_rl_derivative,
                      left_rl_integral, partial_op, right_caputo_derivative,
                      right_rl_derivative, right_rl_integral)
+
+from varfrac import operators
+from varfrac.quadrature import DEFAULT_QUAD, KernelRule, Side
 
 from conftest import UNIT, UNIT_RECT, mpgamma, random_poly1, random_poly2
 
@@ -325,6 +328,23 @@ class TestPartialOps:
         with pytest.raises(DomainError):
             partial_op(OpKind.I_LEFT, 1, f, sr_alpha(), (1.5, 0.5), UNIT_RECT)
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_frozen_coordinate_validation(self, axis):
+        # the frozen coordinate is checked as the axis coordinate is, so f
+        # is never evaluated off the rectangle and NaN is a domain error
+        f = SmoothFn2(lambda t1, t2: t1 + t2, check=False)
+        at = lambda x, frozen: (x, frozen) if axis == 1 else (frozen, x)
+        leaves = rf"coordinate {{}} leaves \[0\.0, 1\.0\] along axis {3 - axis}"
+        with pytest.raises(DomainError, match=leaves.format(r"7\.0")):
+            partial_op(OpKind.I_LEFT, axis, f, sr_alpha(), at(0.5, 7.0), UNIT_RECT)
+        with pytest.raises(DomainError, match=leaves.format("nan")):
+            partial_op(OpKind.I_LEFT, axis, f, sr_alpha(), at(0.5, np.nan), UNIT_RECT)
+        grid = at(np.array([0.2, 0.5])[:, None], np.array([0.0, 1.0, -1e-9, np.nan])[None, :])
+        with pytest.raises(DomainError, match=leaves.format(r"-1e-09")):
+            partial_op(OpKind.D_CAP_LEFT, axis, f, sr_alpha(), grid, UNIT_RECT)
+        # both closed ends are inside
+        assert partial_op(OpKind.I_LEFT, axis, f, sr_alpha(), at(0.5, 1.0), UNIT_RECT) > 0.0
+
 
 ONE_VARIABLE = {
     OpKind.I_LEFT: lambda f, alpha, t: left_rl_integral(f, alpha, 0.0, t),
@@ -388,6 +408,95 @@ class TestArrayEvaluation:
         assert same_bits(left_rl_integral(f, alpha, 0.0, pts),
                          [left_rl_integral(f, alpha, 0.0, t) for t in pts])
 
+    @pytest.mark.parametrize("kind", list(OpKind))
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_repeated_coordinates(self, kind, axis, analytic, rng):
+        # a broadcast grid repeats every axis coordinate; the RL points run
+        # the central, forward and backward stencils
+        alpha = VariableOrder(lambda t, tau: 0.35 + 0.1 * t + 0.05 * tau, UNIT)
+        p = random_poly2(rng)
+        f = p.as_smooth_fn2() if analytic else SmoothFn2(p, check=False)
+        along, other = np.array(grid_for(kind)), np.array([0.0, 0.4, 1.0])
+        t1, t2 = (along[:, None], other[None, :]) if axis == 1 else (other[:, None], along[None, :])
+        loop = [[partial_op(kind, axis, f, alpha, (x, y), UNIT_RECT) for y in t2[0]]
+                for x in t1[:, 0]]
+        assert same_bits(partial_op(kind, axis, f, alpha, (t1, t2), UNIT_RECT), loop)
+
+    def test_repeated_coordinates_span_several_batches(self):
+        alpha = VariableOrder(lambda t, tau: 0.35 + 0.1 * t + 0.05 * tau, UNIT)
+        f = SmoothFn2(lambda t1, t2: np.cos(t1 + 2.0 * t2), check=False)
+        t1, t2 = np.linspace(0.0, 1.0, 15), np.linspace(0.0, 1.0, 21)
+        assert t1.size * t2.size > 65536 // DEFAULT_QUAD.range_nodes  # one batch's points
+        loop = [[partial_op(OpKind.I_RIGHT, 2, f, alpha, (x, y), UNIT_RECT) for y in t2]
+                for x in t1]
+        grid = partial_op(OpKind.I_RIGHT, 2, f, alpha, (t1[:, None], t2[None, :]), UNIT_RECT)
+        assert same_bits(grid, loop)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_signed_zeros_stay_apart(self, axis):
+        # 0.0 == -0.0 under a sort, but the integrand tells them apart at the
+        # branch point, so merging the two would change the sliver term
+        rect = Rect2.of(-1.0, 1.0, -1.0, 1.0)
+        alpha = VariableOrder(lambda t, tau: 0.4 + 0.1 * tau, rect.axis(axis))
+        sign = lambda t1, t2: np.copysign(1.0, t1 if axis == 1 else t2)
+        f = SmoothFn2(lambda t1, t2: 2.0 + sign(t1, t2) + 0.0 * (t1 + t2), check=False)
+        along, other = np.array([0.0, -0.5, -0.0, 0.5, 0.0]), np.array([-0.3, 0.6])
+        t1, t2 = (along[:, None], other[None, :]) if axis == 1 else (other[:, None], along[None, :])
+        loop = [[partial_op(OpKind.I_LEFT, axis, f, alpha, (x, y), rect) for y in t2[0]]
+                for x in t1[:, 0]]
+        grid = partial_op(OpKind.I_LEFT, axis, f, alpha, (t1, t2), rect)
+        assert same_bits(grid, loop)
+        zero, minus_zero = (grid[0, 0], grid[2, 0]) if axis == 1 else (grid[0, 0], grid[0, 2])
+        assert zero != minus_zero
+
+    @pytest.fixture
+    def rule_rows(self, monkeypatch):
+        """The ranges built by every KernelRule of the operators (rows before
+        any gather), and the number of np.unique calls they make."""
+        built, sorts = [], []
+
+        class CountingRule(KernelRule):
+            def __init__(self, spec, lo, hi, cfg, rows=None):
+                super().__init__(spec, lo, hi, cfg, rows)
+                built.append(np.size(hi if spec.side is Side.LEFT else lo))
+                assert self.tau.shape[0] == (built[-1] if rows is None else len(rows))
+
+        unique = np.unique
+        monkeypatch.setattr(operators, "KernelRule", CountingRule)
+        monkeypatch.setattr(operators.np, "unique",
+                            lambda *a, **k: sorts.append(1) or unique(*a, **k))
+        return built, sorts
+
+    def test_one_rule_row_per_distinct_coordinate(self, rule_rows):
+        built, sorts = rule_rows
+        alpha = sr_alpha()
+        f = random_poly2(np.random.default_rng(3)).as_smooth_fn2()
+        t1, t2 = np.linspace(0.1, 0.9, 5)[:, None], np.linspace(0.0, 1.0, 7)[None, :]
+        partial_op(OpKind.I_LEFT, 1, f, alpha, (t1, t2), UNIT_RECT)
+        partial_op(OpKind.D_CAP_LEFT, 2, f, alpha, (t1, t2), UNIT_RECT)
+        assert built == [5, 6]  # t2 = 0 is an empty range
+        built.clear()
+        # central stencils at the 5 distinct t1, four points each
+        partial_op(OpKind.D_RL_LEFT, 1, f, alpha, (t1, t2), UNIT_RECT)
+        assert built == [20]
+        assert len(sorts) == 3  # one per rule
+
+    @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.D_RL_RIGHT, OpKind.D_CAP_LEFT])
+    def test_one_point_does_not_sort(self, rule_rows, kind):
+        built, sorts = rule_rows
+        f = random_poly2(np.random.default_rng(4)).as_smooth_fn2()
+        partial_op(kind, 1, f, sr_alpha(), (0.5, 0.5), UNIT_RECT)
+        left_rl_integral(lambda tau: tau, sr_alpha(), 0.0, 0.5)
+        assert built == [4 if kind is OpKind.D_RL_RIGHT else 1, 1]
+        assert sorts == []
+
+    def test_distinct_points_sort_once(self, rule_rows):
+        # one sort finds no repeat, and the rule is built over the points
+        built, sorts = rule_rows
+        left_rl_integral(lambda tau: tau, sr_alpha(), 0.0, np.linspace(0.1, 0.9, 9))
+        assert built == [9] and len(sorts) == 1
+
 
 class TestNonFinite:
     def test_nan_integrand_names_the_node(self):
@@ -395,3 +504,32 @@ class TestNonFinite:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValidityError, match=r"not finite at \(t, tau\) = \(0\.8, "):
             left_rl_integral(lambda tau: np.sqrt(tau - 0.5), sr_alpha(), 0.0, 0.8)
+
+    def test_nan_at_one_point_of_repeated_coordinates(self):
+        # on [0, 2]^2 the integrand sqrt(1 - tau * t2) is NaN only where the
+        # range [0, t1] passes 1 / t2: of the four points only (1.5, 1.0),
+        # whose t1 = 1.5 repeats at (1.5, 0.5)
+        rect = Rect2.of(0.0, 2.0, 0.0, 2.0)
+        alpha = VariableOrder(lambda t, tau: 0.4 + 0.1 * tau, rect.t1)
+        f = SmoothFn2(lambda t1, t2: np.sqrt(1.0 - t1 * t2), check=False)
+        grid = (np.array([0.5, 1.5])[:, None], np.array([0.5, 1.0])[None, :])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidityError) as one:
+                partial_op(OpKind.I_LEFT, 1, f, alpha, (1.5, 1.0), rect)
+            with pytest.raises(ValidityError, match=r"nan is not finite at \(t, tau\) = \(1\.5, "
+                               ) as batch:
+                partial_op(OpKind.I_LEFT, 1, f, alpha, grid, rect)
+        assert str(batch.value) == str(one.value)
+
+    def test_exponent_outside_range_at_repeated_coordinate(self):
+        # the order leaves (0, 1) for t > 0.7; of the repeated t2 values the
+        # first bad one in the caller's order, 0.95, is named
+        alpha = VariableOrder(lambda t, tau: 0.5 + 0.6 * (t > 0.7), UNIT, validate=False)
+        f = SmoothFn2(lambda t1, t2: 1.0 + t1 * t2, check=False)
+        grid = (np.array([0.2, 0.5, 0.9])[:, None], np.array([0.3, 0.95, 0.8, 0.95])[None, :])
+        with pytest.raises(ValidityError) as one:
+            partial_op(OpKind.I_LEFT, 2, f, alpha, (0.2, 0.95), UNIT_RECT)
+        with pytest.raises(ValidityError, match=r"exponent 1\.1 outside \(0, 1\) at "
+                                                r"\(t, tau\) = \(0\.95, ") as batch:
+            partial_op(OpKind.I_LEFT, 2, f, alpha, grid, UNIT_RECT)
+        assert str(batch.value) == str(one.value)

@@ -149,6 +149,21 @@ class TestKernelRule:
                 assert batch[k, p] == one
             assert np.array_equal(rule.integrate(values[k]), batch[k])
 
+    def test_rows_gather_per_point(self):
+        spec = left_spec(VariableOrder(lambda t, tau: 0.3 + 0.2 * t * tau, UNIT))
+        rule = KernelRule(spec, 0.0, np.array([0.4, 0.8]))
+        gathered = KernelRule(spec, 0.0, np.array([0.4, 0.8]), DEFAULT_QUAD, np.array([1, 0, 1]))
+        assert np.array_equal(gathered.t_sing, [0.8, 0.4, 0.8])
+        h = lambda s: np.exp(s)
+        assert np.array_equal(gathered.integrate(h(gathered.tau)),
+                              rule.integrate(h(rule.tau))[[1, 0, 1]])
+        # the gathered rule names the node of its own row
+        values = np.ones(gathered.tau.shape)
+        values[1, 2] = np.nan
+        with pytest.raises(ValidityError, match=rf"at \(t, tau\) = \(0\.4, "
+                                                rf"{gathered.tau[1, 2]:.6g}\)"):
+            gathered.integrate(values)
+
     def test_scalar_integrand_broadcasts(self):
         spec = left_spec(VariableOrder(lambda t, tau: 0.3 + 0.2 * tau, UNIT))
         v = singular_integral(spec, lambda s: 2.0, 0.1, 0.9)
