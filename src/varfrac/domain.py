@@ -3,6 +3,8 @@
 All user-supplied callables (order functions, integrands, partial
 derivatives) must accept numpy arrays and broadcast elementwise; the
 quadrature engine evaluates them on whole node vectors at once.
+:class:`SeparableFn2` is the two-variable function that the partial
+operators can take apart axis by axis.
 """
 
 from __future__ import annotations
@@ -265,3 +267,42 @@ class SmoothFn2:
                     f"declared partial along axis {axis} disagrees with a finite "
                     f"difference by {err:.3e} (> 1e-6)"
                 )
+
+
+def _sum_products(a, b):
+    """Sum over the leading axis of a * b, one term after the other, so an
+    element gets the same bits in any batch."""
+    out = a[0] * b[0]
+    for r in range(1, len(a)):
+        out = out + a[r] * b[r]
+    return out
+
+
+class SeparableFn2(SmoothFn2):
+    """Short sum of products ``sum_r g_r(t1) * h_r(t2)`` of one-variable factors.
+
+    ``terms`` holds the (g_r, h_r) pairs, SmoothFn1 or plain callables.  A
+    factor without an analytic derivative gets the finite-difference
+    fallback of :meth:`SmoothFn1.derivative_callable` on its axis of
+    ``rect``, and the partials are sums of products with the factors'
+    derivatives.  The partial integrals and Caputo derivatives of
+    :func:`varfrac.operators.partial_op` act on the factors along their
+    axis only.
+    """
+
+    def __init__(self, terms, rect: Rect2):
+        self.terms = [(SmoothFn1.wrap(g), SmoothFn1.wrap(h)) for g, h in terms]
+        self.rect = rect
+        # per axis, the (value, derivative) callables of every term's factor
+        self._factors = [[(fn.value, fn.derivative_callable(rect.axis(i + 1))[0]) for fn in column]
+                         for i, column in enumerate(zip(*self.terms))]
+        stack = self.stack
+        super().__init__(lambda t1, t2: _sum_products(stack(1, 0, t1), stack(2, 0, t2)),
+                         lambda t1, t2: _sum_products(stack(1, 1, t1), stack(2, 0, t2)),
+                         lambda t1, t2: _sum_products(stack(1, 0, t1), stack(2, 1, t2)),
+                         check=False)
+
+    def stack(self, axis: int, order: int, s) -> np.ndarray:
+        """The factors along ``axis`` at s, or their derivatives for ``order``
+        1, one per term on a new leading axis."""
+        return np.stack([pair[order](s) for pair in self._factors[axis - 1]])

@@ -24,9 +24,14 @@ an array of that shape.  The kernel integrals of a call go in bounded
 batches to :class:`KernelRule`.  The kernel depends on the singular
 endpoint alone, never on a frozen coordinate, so where a batch repeats
 endpoints (a grid of a partial operator) its rule has one row per distinct
-endpoint, gathered per point.  Rule construction is elementwise and each
-row is reduced on its own, so every value is bit-identical to the
-one-point call.  All operations are pure.
+endpoint, gathered per point.  A partial integral or Caputo derivative of
+a :class:`SeparableFn2` goes further (:func:`factor_op`): one rule per
+batch of distinct axis coordinates integrates every factor along the axis
+at once, and the factors of the other axis are multiplied in afterwards;
+RL derivatives and other fields integrate the section at each point.
+Rule construction is elementwise and each row is reduced on its own, so
+every value is bit-identical to the one-point call.  All operations are
+pure.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import Rect2, SmoothFn1, SmoothFn2, VariableOrder
-from .errors import DomainError
+from .domain import Rect2, SeparableFn2, SmoothFn1, SmoothFn2, VariableOrder, _sum_products
+from .errors import DomainError, ValidityError
 from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
                          WeightShift)
 
@@ -78,6 +83,7 @@ _RANGE_ERRORS = {
 }
 _LEFT = (OpKind.I_LEFT, OpKind.D_RL_LEFT, OpKind.D_CAP_LEFT)
 _RL = (OpKind.D_RL_LEFT, OpKind.D_RL_RIGHT)
+_CAPUTO = (OpKind.D_CAP_LEFT, OpKind.D_CAP_RIGHT)
 
 
 def _check(ok: np.ndarray, t: np.ndarray, message):
@@ -120,60 +126,89 @@ def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float,
     return out
 
 
+def _distinct(x: np.ndarray):
+    """The distinct values of x, compared by bits (0.0 and -0.0 stay apart)
+    and in order of first occurrence, and the index of each x among them."""
+    _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+    return x[np.sort(first)], np.argsort(np.argsort(first))[inverse]
+
+
+def _rule(kind: OpKind, alpha: VariableOrder, a: float, b: float, x: np.ndarray,
+          cfg: QuadConfig, rows=None) -> KernelRule:
+    """The kernel rule of ``kind`` at the singular endpoints x, over [a, x]
+    for a left kernel and [x, b] for a right one."""
+    left = kind in _LEFT
+    spec = SingularKernelSpec(alpha, Side.LEFT if left else Side.RIGHT,
+                              WeightShift.INTEGRAL if kind in (OpKind.I_LEFT, OpKind.I_RIGHT)
+                              else WeightShift.DERIVATIVE)
+    return KernelRule(spec, *((a, x) if left else (x, b)), cfg, rows)
+
+
 def _apply(kind: OpKind, sections, alpha: VariableOrder, a: float, b: float,
-           t: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool) -> np.ndarray:
+           t: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool,
+           where=None) -> np.ndarray:
     """The operator ``kind`` at the 1-D points t; ``sections(rows)`` is the
     one-variable integrand (a SmoothFn1) of the points t[rows], rows being
-    an index array or a mask.  Left kernels integrate from a, right to b.
+    an index array.  Left kernels integrate from a, right to b.
 
     For more than one point, each kernel rule is built over the distinct
-    singular endpoints, in order of first occurrence and compared by bits
-    (0.0 and -0.0 stay apart), and, where some endpoint repeats, its rows
-    are gathered per point; stencil points of a repeated t repeat too.  A
+    singular endpoints and, where some endpoint repeats, its rows are
+    gathered per point; stencil points of a repeated t repeat too.  A
     one-point call sorts nothing.  Errors name the first offending point,
-    as a rule of one row per point would."""
+    as a rule of one row per point would, and ``where(i)``, if given, adds
+    what else locates a non-finite integrand value at point t[i]."""
     left, rl = kind in _LEFT, kind in _RL
     # an empty range is allowed, and gives 0, everywhere but under an RL derivative
     _check((t > a if rl else t >= a) if left else (t < b if rl else t <= b), t,
            lambda x: _RANGE_ERRORS[kind].format(t=x, a=a, b=b))
-    integral = kind in (OpKind.I_LEFT, OpKind.I_RIGHT)
-    spec = SingularKernelSpec(alpha, Side.LEFT if left else Side.RIGHT,
-                              WeightShift.INTEGRAL if integral else WeightShift.DERIVATIVE)
 
-    def integrals(fn, x):
-        """Kernel integrals of fn at the points x: over [a, x] left, over [x, b] right."""
+    def integrals(points, x):
+        """Kernel integrals at x, over [a, x] left and [x, b] right, of the
+        section (or its derivative) of the points t[points] that x belongs to."""
+        f = sections(points)
+        fn = f.derivative_callable(alpha.domain, allow_fd)[0] if kind in _CAPUTO else f.value
         if not x.size:
             return np.empty(0)
         rows = None
         if t.size > 1:
-            _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
-            if first.size < x.size:
-                x, rows = x[np.sort(first)], np.argsort(np.argsort(first))[inverse]
-        rule = KernelRule(spec, *((a, x) if left else (x, b)), cfg, rows)
-        return rule.integrate(fn(rule.tau))
+            distinct, inverse = _distinct(x)
+            if distinct.size < x.size:
+                x, rows = distinct, inverse
+        rule = _rule(kind, alpha, a, b, x, cfg, rows)
+        values = fn(rule.tau)
+        try:
+            return rule.integrate(values)
+        except ValidityError as exc:
+            if where is None:
+                raise
+            finite = np.isfinite(np.broadcast_to(values, rule.tau.shape)).all(axis=1)
+            raise ValidityError(f"{exc}, {where(points[np.argmin(finite)])}") from None
 
     if rl:
-        F = lambda x, rows: integrals(sections(rows).value, x)
+        F = lambda x, rows: integrals(rows, x)
         step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
         if left:
             return _stencil_derivative(F, t, a, alpha.domain.b, step, t - a)
         return -_stencil_derivative(F, t, alpha.domain.a, b, step, b - t)
-    live = t > a if left else t < b
-    f = sections(live)
-    values = integrals(f.value if integral else f.derivative_callable(alpha.domain, allow_fd)[0],
-                       t[live])
+    live = np.flatnonzero(t > a if left else t < b)
+    values = integrals(live, t[live])
     out = np.zeros(t.shape)
     out[live] = -values if kind is OpKind.D_CAP_RIGHT else values
     return out
 
 
+def _shaped(values: np.ndarray, points: np.ndarray):
+    """Values of the flattened points as a float for a scalar point, else in the points' shape."""
+    return float(values[0]) if points.ndim == 0 else values.reshape(points.shape)
+
+
 def _chunked(apply, points: np.ndarray, cfg: QuadConfig):
     """``apply`` over slices of the flattened points, each within _BATCH_NODES,
-    reassembled as a float for a scalar point and else in the points' shape."""
+    reassembled by :func:`_shaped`."""
     n, step = points.size, max(1, _BATCH_NODES // cfg.range_nodes)
-    values = (apply(slice(None)) if n <= step
-              else np.concatenate([apply(slice(i, i + step)) for i in range(0, n, step)]))
-    return float(values[0]) if points.ndim == 0 else values.reshape(points.shape)
+    return _shaped(apply(slice(None)) if n <= step
+                   else np.concatenate([apply(slice(i, i + step)) for i in range(0, n, step)]),
+                   points)
 
 
 def interval_op(kind: OpKind, f, alpha: VariableOrder, a: float, b: float, t,
@@ -247,8 +282,11 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
     broadcast together; the result has their broadcast shape.  Each point
     freezes the other coordinate of ``f``, and the matching one-variable
     operator acts on that section; by construction this is exactly the
-    partial operator definition.  Both coordinates of every point must lie
-    in the closed rectangle, else DomainError names the first that leaves.
+    partial operator definition.  For a :class:`SeparableFn2` and an
+    integral or Caputo kind, the operator acts on the factors along the
+    axis instead (:func:`factor_op`), once per distinct axis coordinate.
+    Both coordinates of every point must lie in the closed rectangle, else
+    DomainError names the first that leaves.
     """
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
@@ -263,6 +301,32 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
         lo, hi = rect.axis(i).a, rect.axis(i).b
         _check((x >= lo) & (x <= hi), x,
                lambda v: f"coordinate {v} leaves [{lo}, {hi}] along axis {i}")
+    if isinstance(f2, SeparableFn2) and kind not in _RL:
+        x, inverse = _distinct(ti)
+        return _shaped(_sum_products(factor_op(kind, axis, f2, alpha, x, rect, cfg)[:, inverse],
+                                     f2.stack(3 - axis, 0, frozen)), t1)
     return _chunked(lambda c: _apply(kind, lambda rows: f2.section(axis, frozen[c][rows, None]),
                                      alpha, interval.a, interval.b, ti[c], cfg, h,
-                                     allow_fd_derivative), t1, cfg)
+                                     allow_fd_derivative,
+                                     lambda i: f"t{3 - axis} = {frozen[c][i]:.6g}"), t1, cfg)
+
+
+def factor_op(kind: OpKind, axis: int, f: SeparableFn2, alpha: VariableOrder, t,
+              rect: Rect2, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """The integral or Caputo kind ``kind`` along ``axis`` of each factor of
+    ``f`` on that axis, at the 1-D points t: an array (terms, t.size).
+
+    One kernel rule per batch of points integrates all factors at once.
+    The points must lie in the axis interval, as :func:`partial_op`
+    checks; called on distinct points, this is its 1-D work on a separable
+    field, whose value at (t, frozen) is the sum over terms of this table
+    times the other factor at frozen.
+    """
+    kind, interval, t = OpKind(kind), rect.axis(axis), np.asarray(t, dtype=float)
+    live = np.flatnonzero(t > interval.a if kind in _LEFT else t < interval.b)
+    out, step = np.zeros((len(f.terms), t.size)), max(1, _BATCH_NODES // cfg.range_nodes)
+    for i in range(0, live.size, step):
+        rule = _rule(kind, alpha, interval.a, interval.b, t[live[i:i + step]], cfg)
+        values = rule.integrate(f.stack(axis, kind in _CAPUTO, rule.tau))
+        out[:, live[i:i + step]] = -values if kind is OpKind.D_CAP_RIGHT else values
+    return out

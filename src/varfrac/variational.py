@@ -27,12 +27,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import Rect2, SmoothFn1, SmoothFn2, VariableOrder, _as_array_fn
+from .domain import (Interval, Rect2, SeparableFn2, SmoothFn1, SmoothFn2, VariableOrder,
+                     _as_array_fn, _sum_products)
 from .errors import DomainError, ValidityError
-from .operators import OpKind, partial_op
+from .operators import OpKind, factor_op, partial_op
 from .optimize import MinimizeResult, minimize_bfgs
-from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
-                         WeightShift, clustered_gl, tensor_integral)
+from .quadrature import DEFAULT_QUAD, QuadConfig, clustered_gl, tensor_integral
 
 _LAGRANGIAN_CHECK_SEED = 0x1A6
 _CORNER_TOL = 1e-12
@@ -133,33 +133,31 @@ class BoundaryData:
     edges must be finite and agree at shared corners to 1e-12.
     """
 
-    def __init__(self, bottom, right, top, left, rect: Rect2, *,
-                 all_zero: bool = False):
+    def __init__(self, bottom, right, top, left, rect: Rect2):
         self.bottom = SmoothFn1.wrap(bottom)
         self.right = SmoothFn1.wrap(right)
         self.top = SmoothFn1.wrap(top)
         self.left = SmoothFn1.wrap(left)
         self.rect = rect
-        self.all_zero = all_zero
         self._check_corners()
 
     @classmethod
     def zero(cls, rect: Rect2) -> "BoundaryData":
-        z = SmoothFn1(lambda s: 0.0 * s, lambda s: 0.0 * s, check=False)
-        return cls(z, z, z, z, rect, all_zero=True)
+        return cls.constant(0.0, rect)
 
     @classmethod
     def constant(cls, c: float, rect: Rect2) -> "BoundaryData":
         f = SmoothFn1(lambda s: c + 0.0 * s, lambda s: 0.0 * s, check=False)
-        return cls(f, f, f, f, rect, all_zero=(c == 0.0))
+        return cls(f, f, f, f, rect)
 
     @classmethod
     def from_function(cls, fn2, rect: Rect2) -> "BoundaryData":
-        """Edge restrictions of a full two-variable function."""
+        """Edge restrictions of a full two-variable function, whose partials
+        along an edge, when given, are the edge's derivative."""
         fn2 = SmoothFn2.wrap(fn2)
         a1, b1, a2, b2 = rect.t1.a, rect.t1.b, rect.t2.a, rect.t2.b
-        return cls(lambda s: fn2(s, a2), lambda s: fn2(b1, s),
-                   lambda s: fn2(s, b2), lambda s: fn2(a1, s), rect)
+        return cls(*(fn2.section(axis, c) for axis, c in ((1, a2), (2, b1), (1, b2), (2, a1))),
+                   rect)
 
     def _check_corners(self):
         a1, b1 = self.rect.t1.a, self.rect.t1.b
@@ -178,64 +176,63 @@ class BoundaryData:
             if abs(u - v) > _CORNER_TOL:
                 raise ValidityError(f"edge functions disagree at corner {name}: {u!r} vs {v!r}")
 
-    def lift(self) -> SmoothFn2:
-        """Transfinite (Coons) interpolant of the four edges.
+    def lift(self) -> SeparableFn2:
+        """Transfinite (Coons) interpolant of the four edges, in four terms.
 
-        Matches the boundary trace exactly and is C^1 inside for C^1 edge
-        data; its partial derivatives use the edges' derivatives, falling
-        back to finite differences of the edge functions.
+        With x, y the coordinates normalised to the rectangle, the terms are
+        ``(1 - y) * (bottom - line)``, ``y * (top - line)``, ``(1 - x) * left``
+        and ``x * right``, where each line joins its edge's corner values:
+        the bilinear corner blend folded into the two edge factors.  The
+        lift matches the boundary trace exactly and is C^1 inside for C^1
+        edge data; its partials use the edges' derivatives, falling back to
+        finite differences of the edge functions.  A zero trace gives exact
+        zeros.
         """
-        if self.all_zero:
-            z2 = lambda t1, t2: 0.0 * t1 + 0.0 * t2
-            return SmoothFn2(z2, z2, z2, check=False)
-        rect = self.rect
-        a1, w1 = rect.t1.a, rect.t1.length
-        a2, w2 = rect.t2.a, rect.t2.length
-        c_aa = float(self.bottom(rect.t1.a))
-        c_ba = float(self.bottom(rect.t1.b))
-        c_ab = float(self.top(rect.t1.a))
-        c_bb = float(self.top(rect.t1.b))
-        bottom, top = self.bottom.value, self.top.value
-        left, right = self.left.value, self.right.value
-        d_bottom, _ = self.bottom.derivative_callable(rect.t1)
-        d_top, _ = self.top.derivative_callable(rect.t1)
-        d_left, _ = self.left.derivative_callable(rect.t2)
-        d_right, _ = self.right.derivative_callable(rect.t2)
+        t1, t2 = self.rect.t1, self.rect.t2
+        (x0, x1), (y0, y1) = _ramps(t1), _ramps(t2)
 
-        def value(t1, t2):
-            x = (t1 - a1) / w1
-            y = (t2 - a2) / w2
-            blend = ((1 - x) * (1 - y) * c_aa + x * (1 - y) * c_ba
-                     + (1 - x) * y * c_ab + x * y * c_bb)
-            return ((1 - y) * bottom(t1) + y * top(t1)
-                    + (1 - x) * left(t2) + x * right(t2) - blend)
+        def edge(fn: SmoothFn1):
+            c0, c1, d = float(fn(t1.a)), float(fn(t1.b)), fn.derivative_callable(t1)[0]
+            slope = (c1 - c0) / t1.length
+            return SmoothFn1(lambda s: fn.value(s) - (c0 + slope * (s - t1.a)),
+                             lambda s: d(s) - slope, check=False)
 
-        def d_t1(t1, t2):
-            y = (t2 - a2) / w2
-            blend = (-(1 - y) * c_aa + (1 - y) * c_ba - y * c_ab + y * c_bb) / w1
-            return ((1 - y) * d_bottom(t1) + y * d_top(t1)
-                    + (right(t2) - left(t2)) / w1 - blend)
-
-        def d_t2(t1, t2):
-            x = (t1 - a1) / w1
-            blend = (-(1 - x) * c_aa - x * c_ba + (1 - x) * c_ab + x * c_bb) / w2
-            return ((top(t1) - bottom(t1)) / w2
-                    + (1 - x) * d_left(t2) + x * d_right(t2) - blend)
-
-        return SmoothFn2(value, d_t1, d_t2, check=False)
+        return SeparableFn2([(edge(self.bottom), y0), (edge(self.top), y1),
+                             (x0, self.left), (x1, self.right)], self.rect)
 
 
-class RitzExpansion:
+def _ramps(iv: Interval):
+    """The linear functions 1 - x and x of x = (s - a) / length, with derivatives."""
+    return (SmoothFn1(lambda s: (iv.b - s) / iv.length, lambda s: -1.0 / iv.length + 0.0 * s,
+                      check=False),
+            SmoothFn1(lambda s: (s - iv.a) / iv.length, lambda s: 1.0 / iv.length + 0.0 * s,
+                      check=False))
+
+
+def _sines(pairs, iv: Interval) -> SmoothFn1:
+    """s -> sum of c * sin(m pi x) over the (m, c) pairs, x = (s - a) / length."""
+    x = lambda s: (s - iv.a) / iv.length
+    return SmoothFn1(
+        lambda s: sum(c * np.sin(m * np.pi * x(s)) for m, c in pairs),
+        lambda s: sum(c * (m * np.pi / iv.length) * np.cos(m * np.pi * x(s)) for m, c in pairs),
+        check=False)
+
+
+class RitzExpansion(SeparableFn2):
     """Boundary lift plus a span of boundary-vanishing tensor sine modes.
 
     u = lift + sum over modes (k, m) of c_km * sin(k pi x1) * sin(m pi x2)
     in coordinates normalized to the rectangle.  Every mode vanishes
     identically on the boundary, so u matches the prescribed trace exactly
-    for any coefficient vector.
+    for any coefficient vector.  ``boundary_lift`` is a SeparableFn2, as
+    :meth:`BoundaryData.lift` returns, and u is one too: the lift's terms
+    plus ``sin(k pi x1) * sum_m c_km sin(m pi x2)`` per axis-1 index k.
     """
 
-    def __init__(self, boundary_lift: SmoothFn2, modes: Sequence[tuple[int, int]],
+    def __init__(self, boundary_lift: SeparableFn2, modes: Sequence[tuple[int, int]],
                  coeffs, rect: Rect2):
+        if not isinstance(boundary_lift, SeparableFn2):
+            raise TypeError("boundary_lift must be a SeparableFn2, as BoundaryData.lift() returns")
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (len(modes),):
             raise DomainError(
@@ -244,7 +241,10 @@ class RitzExpansion:
         self.boundary_lift = boundary_lift
         self.modes = [(int(k), int(m)) for k, m in modes]
         self.coeffs = coeffs
-        self.rect = rect
+        super().__init__(boundary_lift.terms + [
+            (_sines([(k, 1.0)], rect.t1),
+             _sines([(m, c) for (j, m), c in zip(self.modes, coeffs) if j == k], rect.t2))
+            for k in dict.fromkeys(k for k, _ in self.modes)], rect)
 
     @staticmethod
     def tensor_modes(n_per_axis: int) -> list[tuple[int, int]]:
@@ -258,58 +258,17 @@ class RitzExpansion:
         modes = cls.tensor_modes(n_per_axis)
         return cls(psi.lift(), modes, np.zeros(len(modes)), psi.rect)
 
-    def _hat(self, t1, t2):
-        x1 = (np.asarray(t1, float) - self.rect.t1.a) / self.rect.t1.length
-        x2 = (np.asarray(t2, float) - self.rect.t2.a) / self.rect.t2.length
-        return x1, x2
-
-    def value(self, t1, t2):
-        x1, x2 = self._hat(t1, t2)
-        out = np.asarray(self.boundary_lift(t1, t2), dtype=float).copy()
-        for c, (k, m) in zip(self.coeffs, self.modes):
-            out = out + c * np.sin(k * np.pi * x1) * np.sin(m * np.pi * x2)
-        return out
-
-    def d_t1(self, t1, t2):
-        x1, x2 = self._hat(t1, t2)
-        out = np.asarray(self.boundary_lift.d_t1(t1, t2), dtype=float).copy()
-        for c, (k, m) in zip(self.coeffs, self.modes):
-            out = out + c * (k * np.pi / self.rect.t1.length) \
-                * np.cos(k * np.pi * x1) * np.sin(m * np.pi * x2)
-        return out
-
-    def d_t2(self, t1, t2):
-        x1, x2 = self._hat(t1, t2)
-        out = np.asarray(self.boundary_lift.d_t2(t1, t2), dtype=float).copy()
-        for c, (k, m) in zip(self.coeffs, self.modes):
-            out = out + c * (m * np.pi / self.rect.t2.length) \
-                * np.sin(k * np.pi * x1) * np.cos(m * np.pi * x2)
-        return out
-
-    def as_smooth_fn2(self) -> SmoothFn2:
-        return SmoothFn2(self.value, self.d_t1, self.d_t2, check=False)
+    def as_smooth_fn2(self) -> SeparableFn2:
+        return self
 
     def with_coeffs(self, coeffs) -> "RitzExpansion":
         return RitzExpansion(self.boundary_lift, self.modes, coeffs, self.rect)
 
-    def mode_fn(self, index: int) -> SmoothFn2:
-        """The index-th basis mode as a SmoothFn2 with analytic partials."""
+    def mode_fn(self, index: int) -> SeparableFn2:
+        """The index-th basis mode, one term with analytic partials."""
         k, m = self.modes[index]
-        w1, w2 = self.rect.t1.length, self.rect.t2.length
-
-        def val(t1, t2):
-            x1, x2 = self._hat(t1, t2)
-            return np.sin(k * np.pi * x1) * np.sin(m * np.pi * x2)
-
-        def d1(t1, t2):
-            x1, x2 = self._hat(t1, t2)
-            return (k * np.pi / w1) * np.cos(k * np.pi * x1) * np.sin(m * np.pi * x2)
-
-        def d2(t1, t2):
-            x1, x2 = self._hat(t1, t2)
-            return (m * np.pi / w2) * np.sin(k * np.pi * x1) * np.cos(m * np.pi * x2)
-
-        return SmoothFn2(val, d1, d2, check=False)
+        return SeparableFn2([(_sines([(k, 1.0)], self.rect.t1), _sines([(m, 1.0)], self.rect.t2))],
+                            self.rect)
 
 
 @dataclass
@@ -337,12 +296,6 @@ class SolveReport:
         }
 
 
-def _as_fn2(u) -> SmoothFn2:
-    if isinstance(u, RitzExpansion):
-        return u.as_smooth_fn2()
-    return SmoothFn2.wrap(u)
-
-
 def _caputo_pair(u2: SmoothFn2, alpha1: VariableOrder, alpha2: VariableOrder,
                  rect: Rect2, cfg: QuadConfig):
     d1 = lambda t1, t2: partial_op(OpKind.D_CAP_LEFT, 1, u2, alpha1, (t1, t2), rect, cfg)
@@ -354,7 +307,7 @@ def functional_eval(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrd
                     rect: Rect2, outer_grid: int = 20,
                     cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """J[u]: clustered tensor quadrature of L(t, u, CapD1 u, CapD2 u)."""
-    u2 = _as_fn2(u)
+    u2 = SmoothFn2.wrap(u)
     cap1, cap2 = _caputo_pair(u2, alpha1, alpha2, rect, cfg)
 
     def integrand(t1, t2):
@@ -413,14 +366,18 @@ def el_residual(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
     The composed slot fields are available only as callables, so their
     right derivatives use the same differentiate-the-integral scheme as the
     operators module; points close to the right edges automatically get
-    distance-scaled or one-sided stencils.  Each of the three terms is
-    evaluated once on the whole grid, t1 as a column and t2 as a row.  The
-    report's ``l2`` is the discrete L2 norm sqrt(mean(R^2) * area).  Raises
-    DomainError unless ``point_grid`` is a positive integer.
+    distance-scaled or one-sided stencils.  The Caputo partials of u inside
+    those fields, at every stencil node, take the separable path of
+    :func:`partial_op` when u is a SeparableFn2 such as a RitzExpansion:
+    1-D integrals of its factors once per distinct coordinate.  Each of
+    the three terms is evaluated once on the whole grid, t1 as a column
+    and t2 as a row.  The report's ``l2`` is the discrete L2 norm
+    sqrt(mean(R^2) * area).  Raises DomainError unless ``point_grid`` is a
+    positive integer.
     """
     if int(point_grid) != point_grid or point_grid < 1:
         raise DomainError(f"point_grid must be a positive integer, got {point_grid}")
-    u2 = _as_fn2(u)
+    u2 = SmoothFn2.wrap(u)
     f_u, f_d1, f_d2 = _composed_slot_fields(L, u2, alpha1, alpha2, rect, cfg)
     g1 = rect.t1.interior_grid(point_grid)
     g2 = rect.t2.interior_grid(point_grid)
@@ -461,8 +418,8 @@ def first_variation(L: Lagrangian, u, eta, alpha1: VariableOrder,
     Integrates dL/du * eta + dL/dd1 * CapD1 eta + dL/dd2 * CapD2 eta, the
     integrand of d/deps J[u + eps eta] at eps = 0.
     """
-    u2 = _as_fn2(u)
-    eta2 = _as_fn2(eta)
+    u2 = SmoothFn2.wrap(u)
+    eta2 = SmoothFn2.wrap(eta)
     _check_zero_trace(eta2, rect)
     cap1, cap2 = _caputo_pair(u2, alpha1, alpha2, rect, cfg)
     ecap1, ecap2 = _caputo_pair(eta2, alpha1, alpha2, rect, cfg)
@@ -475,44 +432,35 @@ def first_variation(L: Lagrangian, u, eta, alpha1: VariableOrder,
     return tensor_integral(integrand, rect, outer_grid)
 
 
-def _ritz_tables(expansion: RitzExpansion, psi: BoundaryData,
-                 alpha1: VariableOrder, alpha2: VariableOrder, rect: Rect2,
-                 outer_grid: int, cfg: QuadConfig):
+def _ritz_tables(expansion: RitzExpansion, alpha1: VariableOrder, alpha2: VariableOrder,
+                 rect: Rect2, outer_grid: int, cfg: QuadConfig):
     """Precompute u, CapD1 u, CapD2 u at the outer nodes as affine maps of c.
 
-    The left Caputo kernel along axis 1 depends on t1 and tau only, so one
-    kernel rule per axis, assembled at that axis's outer nodes, serves
-    every mode, the boundary lift and every node of the other axis: each
-    table column is one contraction of the rule's weights with the
-    function's partial derivative at the rule's nodes.  The columns equal
-    :func:`partial_op` on the grid, which would build one rule per column
-    and evaluate each mode at every grid point instead of broadcasting its
-    factors, three times the cost of a small solve.  After that every J(c)
-    evaluation is a handful of dense matrix products.
+    The boundary lift and every mode are sums of products of one-variable
+    factors, and a partial Caputo derivative acts on the factors along its
+    axis only.  So the terms of all of them go into one SeparableFn2, whose
+    factors are tabulated at each axis's outer nodes with one kernel rule
+    per axis (:func:`factor_op`), and each table column is a sum of outer
+    products of those factor tables.  After that every J(c) evaluation is
+    a handful of dense matrix products.
     """
     t1n, w1 = clustered_gl(rect.t1.a, rect.t1.b, outer_grid)
     t2n, w2 = clustered_gl(rect.t2.a, rect.t2.b, outer_grid)
     T1 = np.repeat(t1n, outer_grid)
     T2 = np.tile(t2n, outer_grid)
     W = np.outer(w1, w2).ravel()
-    rule1, rule2 = (
-        KernelRule(SingularKernelSpec(alpha, Side.LEFT, WeightShift.DERIVATIVE),
-                   rect.axis(axis).a, nodes, cfg)
-        for axis, alpha, nodes in ((1, alpha1, t1n), (2, alpha2, t2n)))
+    lift = expansion.boundary_lift
+    basis = SeparableFn2(lift.terms + [term for b in range(len(expansion.modes))
+                                       for term in expansion.mode_fn(b).terms], rect)
+    G1, G2 = basis.stack(1, 0, t1n), basis.stack(2, 0, t2n)
+    C1 = factor_op(OpKind.D_CAP_LEFT, 1, basis, alpha1, t1n, rect, cfg)
+    C2 = factor_op(OpKind.D_CAP_LEFT, 2, basis, alpha2, t2n, rect, cfg)
 
-    def columns(fn: SmoothFn2):
-        """fn, CapD1 fn and CapD2 fn at (T1, T2)."""
-        # axis 1: rows of the rule are t1 nodes, leading axis the t2 nodes
-        d1 = rule1.integrate(fn.d_t1(rule1.tau, t2n[:, None, None])).T
-        d2 = rule2.integrate(fn.d_t2(t1n[:, None, None], rule2.tau))
-        return np.asarray(fn(T1, T2), dtype=float), d1.ravel(), d2.ravel()
-
-    PHI, D1PHI, D2PHI = (np.column_stack(c) for c in zip(
-        *(columns(expansion.mode_fn(b)) for b in range(len(expansion.modes)))))
-    if psi.all_zero:
-        U0 = D10 = D20 = np.zeros(T1.size)
-    else:
-        U0, D10, D20 = columns(expansion.boundary_lift)
+    # u, CapD1 u and CapD2 u of a term are the outer products of these pairs
+    pairs, r = ((G1, G2), (C1, G2), (G1, C2)), len(lift.terms)
+    U0, D10, D20 = (_sum_products(g1[:r, :, None], g2[:r, None, :]).ravel() for g1, g2 in pairs)
+    PHI, D1PHI, D2PHI = ((g1[r:, :, None] * g2[r:, None, :]).reshape(len(g1) - r, -1).T
+                         for g1, g2 in pairs)
     return T1, T2, W, U0, D10, D20, PHI, D1PHI, D2PHI
 
 
@@ -557,8 +505,8 @@ def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
     expansion = RitzExpansion.zero(psi, n_modes)
     if coeffs0 is not None:
         expansion = expansion.with_coeffs(coeffs0)
-    J, grad_J = _ritz_objective(L, _ritz_tables(expansion, psi, alpha1, alpha2, rect,
-                                                outer_grid, cfg))
+    J, grad_J = _ritz_objective(L, _ritz_tables(expansion, alpha1, alpha2, rect, outer_grid,
+                                                cfg))
     result: MinimizeResult = minimize_bfgs(
         J, expansion.coeffs, grad_tol=opt_tol, max_iter=max_iter, grad=grad_J)
     solution = expansion.with_coeffs(result.x)

@@ -520,6 +520,8 @@ class TestNonFinite:
                                ) as batch:
                 partial_op(OpKind.I_LEFT, 1, f, alpha, grid, rect)
         assert str(batch.value) == str(one.value)
+        # the frozen coordinate tells (1.5, 1.0) from (1.5, 0.5)
+        assert str(one.value).endswith(", t2 = 1")
 
     def test_exponent_outside_range_at_repeated_coordinate(self):
         # the order leaves (0, 1) for t > 0.7; of the repeated t2 values the

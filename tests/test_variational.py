@@ -6,6 +6,9 @@ from varfrac import (DEFAULT_QUAD, BoundaryData, BoundMode, DomainError,
                      ValidityError, VariableOrder, clustered_gl, el_residual,
                      fd_gradient, first_variation, functional_eval, partial_op,
                      ritz_solve, string_action)
+from varfrac import operators
+from varfrac.domain import SeparableFn2
+from varfrac.quadrature import KernelRule
 from varfrac.variational import _composed_slot_fields, _ritz_objective, _ritz_tables
 
 from conftest import UNIT, UNIT_RECT, BubblePoly2, mpgamma, random_poly2
@@ -88,6 +91,28 @@ class TestBoundaryData:
         # validated by the SmoothFn2 constructor check
         SmoothFn2(lift.value, lift.d_t1, lift.d_t2, domain=UNIT_RECT)
 
+    def test_from_function_keeps_analytic_partials(self):
+        # along each edge the lift's tangential partial is the edge's
+        # derivative, here fn's own partial rather than a finite difference
+        rect = Rect2.of(-0.3, 0.9, 0.2, 1.5)
+        fn = SmoothFn2(lambda t1, t2: np.exp(t1) * np.sin(3.0 * t2),
+                       lambda t1, t2: np.exp(t1) * np.sin(3.0 * t2),
+                       lambda t1, t2: 3.0 * np.exp(t1) * np.cos(3.0 * t2), domain=rect)
+        lift = BoundaryData.from_function(fn, rect).lift()
+        s1, s2 = np.linspace(-0.3, 0.9, 13), np.linspace(0.2, 1.5, 13)
+        for c in (0.2, 1.5):
+            assert np.max(np.abs(lift.d_t1(s1, c) - fn.d_t1(s1, c))) <= 1e-14
+        for c in (-0.3, 0.9):
+            assert np.max(np.abs(lift.d_t2(c, s2) - fn.d_t2(c, s2))) <= 1e-14
+
+    def test_zero_trace_tabulates_to_exact_zeros(self):
+        rect = Rect2.of(-0.3, 0.9, 0.2, 1.5)
+        alpha1, alpha2 = VariableOrder.constant(0.4, rect.t1), VariableOrder.constant(0.3, rect.t2)
+        exp = RitzExpansion.zero(BoundaryData.zero(rect), 2)
+        _, _, _, U0, D10, D20, *_ = _ritz_tables(exp, alpha1, alpha2, rect, 8, DEFAULT_QUAD)
+        for table in (U0, D10, D20):
+            assert table.shape == (64,) and np.all(table == 0.0)
+
 
 class TestRitzExpansion:
     def test_modes_vanish_on_boundary(self):
@@ -115,6 +140,8 @@ class TestRitzExpansion:
         psi = BoundaryData.zero(UNIT_RECT)
         with pytest.raises(DomainError):
             RitzExpansion(psi.lift(), [(1, 1), (1, 2)], [1.0], UNIT_RECT)
+        with pytest.raises(TypeError, match="SeparableFn2"):
+            RitzExpansion(U_ZERO, [(1, 1)], [1.0], UNIT_RECT)
 
 
 class TestFunctionalEval:
@@ -371,7 +398,7 @@ def _table_problem(name, n_modes=2, outer=9):
     alpha1, alpha2 = VariableOrder(a1, rect.t1), VariableOrder(a2, rect.t2)
     psi = BoundaryData.from_function(fn, rect)
     exp = RitzExpansion.zero(psi, n_modes)
-    tables = _ritz_tables(exp, psi, alpha1, alpha2, rect, outer, DEFAULT_QUAD)
+    tables = _ritz_tables(exp, alpha1, alpha2, rect, outer, DEFAULT_QUAD)
     return rect, alpha1, alpha2, exp, tables
 
 
@@ -388,10 +415,12 @@ class TestRitzTables:
         fns.append((exp.boundary_lift, U0, D10, D20))
         for fn, u, d1, d2 in fns:
             assert np.array_equal(u, fn(T1, T2))
+            # a plain SmoothFn2 takes partial_op's per-point path, not the factors'
+            generic = SmoothFn2(fn.value, fn.d_t1, fn.d_t2, check=False)
             for axis, alpha, column in ((1, alpha1, d1), (2, alpha2, d2)):
                 # one outer row per call, as the per-point path evaluates them
                 ref = np.concatenate([
-                    partial_op(OpKind.D_CAP_LEFT, axis, fn, alpha, (t1, t2n), rect)
+                    partial_op(OpKind.D_CAP_LEFT, axis, generic, alpha, (t1, t2n), rect)
                     for t1 in t1n])
                 assert np.max(np.abs(ref)) > 0.0
                 err = np.max(np.abs(column - ref)) / np.max(np.abs(ref))
@@ -422,3 +451,87 @@ class TestRitzTables:
         with np.errstate(invalid="ignore"), pytest.raises(ValidityError, match="not finite"):
             ritz_solve(Lagrangian.quadratic(), psi, A04, A04, UNIT_RECT, n_modes=2,
                        outer_grid=8, el_grid=0)
+
+
+# a non-unit rectangle, (t, tau)-varying orders and a nonzero lift from a
+# function without partials, so the edge factors use finite differences
+_SEP_RECT = Rect2.of(-0.3, 0.9, 0.2, 1.5)
+
+
+def _separable_problem(n_modes=3):
+    alpha1 = VariableOrder(lambda t, tau: 0.35 + 0.1 * t - 0.05 * tau, _SEP_RECT.t1)
+    alpha2 = VariableOrder(lambda t, tau: 0.3 + 0.1 * t * tau, _SEP_RECT.t2)
+    psi = BoundaryData.from_function(lambda t1, t2: 1.0 + np.sin(t1) + t2 ** 2 + t1 * t2,
+                                     _SEP_RECT)
+    exp = RitzExpansion.zero(psi, n_modes)
+    exp = exp.with_coeffs(np.linspace(-0.4, 0.5, len(exp.modes)))
+    return alpha1, alpha2, exp
+
+
+class TestSeparablePath:
+    @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.I_RIGHT,
+                                      OpKind.D_CAP_LEFT, OpKind.D_CAP_RIGHT])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_matches_generic_path(self, kind, axis):
+        alpha1, alpha2, exp = _separable_problem()
+        alpha = alpha1 if axis == 1 else alpha2
+        u = exp.as_smooth_fn2()
+        assert isinstance(u, SeparableFn2)
+        generic = SmoothFn2(u.value, u.d_t1, u.d_t2, check=False)
+        # both rectangle edges and interior points, repeated along both axes
+        t1 = np.array([-0.3, 0.1, 0.55, 0.9, 0.1])[:, None]
+        t2 = np.array([0.2, 0.7, 1.5, 1.1, 0.7])[None, :]
+        grid = partial_op(kind, axis, u, alpha, (t1, t2), _SEP_RECT)
+        ref = partial_op(kind, axis, generic, alpha, (t1, t2), _SEP_RECT)
+        assert np.max(np.abs(grid)) > 0.0
+        assert np.all(np.abs(grid - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        one = [[partial_op(kind, axis, u, alpha, (x, y), _SEP_RECT) for y in t2[0]]
+               for x in t1[:, 0]]
+        assert grid.tobytes() == np.array(one).tobytes()
+
+    def test_el_residual_matches_generic_path(self):
+        alpha1, alpha2, exp = _separable_problem(n_modes=2)
+        u = exp.as_smooth_fn2()
+        generic = SmoothFn2(u.value, u.d_t1, u.d_t2, check=False)
+        cfg = QuadConfig(panels=12)
+        L = Lagrangian(lambda t1, t2, u, d1, d2: d1 ** 2 + 0.5 * d2 ** 2 + u ** 2 + t1 * u,
+                       lambda t1, t2, u, d1, d2: 2.0 * u + t1,
+                       lambda t1, t2, u, d1, d2: 2.0 * d1,
+                       lambda t1, t2, u, d1, d2: d2, check=False)
+        rep = el_residual(L, exp, alpha1, alpha2, _SEP_RECT, 3, cfg)
+        ref = el_residual(L, generic, alpha1, alpha2, _SEP_RECT, 3, cfg)
+        assert np.max(np.abs(ref.values)) > 0.0
+        assert np.all(np.abs(rep.values - ref.values)
+                      <= 1e-10 * np.maximum(1.0, np.abs(ref.values)))
+
+
+class TestSeparableWork:
+    """Kernel rules and nodes, counted where the operators build them."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"rules": 0, "nodes": 0}
+
+        class CountingRule(KernelRule):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                counts["rules"] += 1
+                counts["nodes"] += self.tau.size
+
+        monkeypatch.setattr(operators, "KernelRule", CountingRule)
+        return counts
+
+    def test_ritz_tables_build_one_rule_per_axis(self, work):
+        alpha1, alpha2, exp = _separable_problem(n_modes=4)
+        _ritz_tables(exp, alpha1, alpha2, _SEP_RECT, 16, DEFAULT_QUAD)
+        assert work["rules"] == 2
+
+    def test_el_residual_of_an_expansion(self, work):
+        # README size: 4 modes per axis, a 4 x 4 grid, the default rule;
+        # the per-point path takes 14.9M nodes in 232 rules here
+        alpha = VariableOrder.constant(0.4, UNIT_RECT.t1, l=3,
+                                       bound_mode=BoundMode.BELOW_ONE_MINUS)
+        psi = BoundaryData.from_function(lambda t1, t2: 1.0 + t1 * t2 + np.sin(t1), UNIT_RECT)
+        exp = RitzExpansion.zero(psi, 4).with_coeffs(np.linspace(-0.3, 0.4, 16))
+        el_residual(Lagrangian.quadratic(), exp, alpha, alpha, UNIT_RECT, 4)
+        assert work["nodes"] <= 2_500_000, work
