@@ -18,7 +18,7 @@ from .optimize import MinimizeResult, fd_gradient, minimize_bfgs
 from .quadrature import (DEFAULT_QUAD, QuadConfig, Side, SingularKernelSpec,
                          WeightShift, clustered_gl, gauss_legendre,
                          line_integral_edge, singular_integral, tensor_integral)
-from .specialfn import gamma, gamma_lower_bound_check
+from .specialfn import gamma, gamma_lower_bound_check, rgamma
 from .variational import (BoundaryData, ElResidualReport, Lagrangian,
                           RitzExpansion, SolveReport, el_residual,
                           first_variation, functional_eval, ritz_solve,
@@ -40,7 +40,7 @@ __all__ = [
     "QuadConfig", "DEFAULT_QUAD", "Side", "WeightShift", "SingularKernelSpec",
     "singular_integral", "line_integral_edge", "gauss_legendre", "clustered_gl",
     "tensor_integral",
-    "gamma", "gamma_lower_bound_check",
+    "gamma", "gamma_lower_bound_check", "rgamma",
     "Lagrangian", "BoundaryData", "RitzExpansion", "SolveReport",
     "ElResidualReport", "functional_eval", "string_action", "el_residual",
     "ritz_solve", "first_variation",

@@ -14,6 +14,7 @@ or failed self-test property, 5 optimizer did not reach its tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -218,7 +219,9 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 4
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="varfrac",
         description="Variable-order fractional calculus: operators, identity "
@@ -236,11 +239,11 @@ def _parse_args(argv):
                         help="accepted and ignored: evaluation is serial")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the random instances in selftest")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     config = {}
     if args.config:
         try:

@@ -35,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .domain import VariableOrder
 from .errors import DomainError, ValidityError
-from .specialfn import gamma
+from .specialfn import rgamma1p
 
 
 @lru_cache(maxsize=64)
@@ -156,11 +156,14 @@ class KernelRule:
     of points inside their ranges, the other end may be a scalar.  Row p of
     ``tau`` holds the graded panel nodes followed by the branch point, and
     row p of ``weights`` the panel weights times ``s**(beta - 1) /
-    Gamma(beta)`` followed by the closed-form sliver weight, with beta and
-    the integrand frozen at the branch point.  The integral of h over range
-    p is ``sum_q weights[p, q] * h(tau[p, q])``; one rule serves any number
-    of integrands.  The order function and Gamma are called once.  Raises
-    ValidityError, naming the node, if an effective exponent leaves (0, 1).
+    Gamma(beta)`` followed by the closed-form sliver weight
+    ``eps**beta / Gamma(1 + beta)``, with beta and the integrand frozen at
+    the branch point.  The integral of h over range p is
+    ``sum_q weights[p, q] * h(tau[p, q])``; one rule serves any number of
+    integrands.  The order function and the reciprocal
+    :func:`~varfrac.specialfn.rgamma1p` are called once, and 1/Gamma(beta)
+    is ``beta * rgamma1p(beta)``.  Raises ValidityError, naming the node,
+    if an effective exponent leaves (0, 1).
 
     ``rows``, an index array into the ranges, builds each range once and
     gathers it per point: row p is then range ``rows[p]``.  Construction
@@ -188,11 +191,11 @@ class KernelRule:
         bad = ~((beta > 0.0) & (beta < 1.0))  # catches NaN too
         if bad.any():
             _raise_first(bad, "effective kernel exponent {} outside (0, 1)", beta, self._node)
-        inv_gamma = 1.0 / gamma(beta)
-        b0 = beta[:, -1]
+        # 1/Gamma(1 + beta) at every node; 1/Gamma(beta) = beta / Gamma(1 + beta)
+        rg1p = rgamma1p(beta)
         self.weights = np.concatenate(
-            [(S[:, None] * ws) * (s ** (beta[:, :-1] - 1.0) * inv_gamma[:, :-1]),
-             ((S * sliver) ** b0 / b0 * inv_gamma[:, -1])[:, None]], axis=1)
+            [(S[:, None] * ws) * (s ** (beta[:, :-1] - 1.0) * (beta * rg1p)[:, :-1]),
+             ((S * sliver) ** beta[:, -1] * rg1p[:, -1])[:, None]], axis=1)
         if rows is not None:
             self.t_sing, self.tau, self.weights = (
                 self.t_sing[rows], self.tau[rows], self.weights[rows])

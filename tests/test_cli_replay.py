@@ -3,9 +3,11 @@
 The tool reads the README's example configs and builds the benchmark's
 ``verify_cli`` and ``solve`` tasks through ``perfbench/workloads.py``, so a
 README edit or a change of that module's interface can break it silently.
-This runs the first call of each part of the corpus.
+This runs the first call of each part of the corpus, and checks the two
+ways the tool prints a call: its sha256 line and its ``--raw`` block.
 """
 
+import hashlib
 import importlib.util
 import re
 import sys
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-LINE = re.compile(r"\S+ -?\d+ [0-9a-f]{64} [0-9a-f]{64}")
+LINE = re.compile(r"\S+ -?\d+ [0-9a-f]{64} [0-9a-f]{64}\n")
 
 
 @pytest.fixture
@@ -33,7 +35,33 @@ def test_finds_the_readme_configs(replay_tool):
 
 
 def test_benchmark_tasks_replay(replay_tool, tmp_path):
-    verify = next(replay_tool.verify_lines(301, tmp_path))
-    solve = next(replay_tool.solve_lines(301, tmp_path))
+    verify = replay_tool.digest(next(replay_tool.verify_calls(301, tmp_path)))
+    solve = replay_tool.digest(next(replay_tool.solve_calls(301, tmp_path)))
     assert verify.startswith("verify_cli/301/0 0 ") and LINE.fullmatch(verify)
     assert solve.startswith("solve/301/0 ") and LINE.fullmatch(solve)
+
+
+def test_raw_prints_the_output_itself(replay_tool, tmp_path):
+    name, code, out, err = call = next(replay_tool.verify_calls(301, tmp_path))
+    assert replay_tool.raw(call) == f"== {name} {code}\n{out}"
+    assert out.startswith("level,outer_grid,panels,lhs,rhs,residual\n") and err == ""
+    _, _, report, _ = solve = next(replay_tool.solve_calls(301, tmp_path))
+    assert replay_tool.raw(solve) == f"== solve/301/0 0\n{report}\n"
+    assert report.startswith("{") and "'J_value': " in report
+
+
+def test_raw_keeps_stderr_apart(replay_tool):
+    call = ("selftest/0", 4, "a\n", "b")
+    assert replay_tool.raw(call) == "== selftest/0 4\na\n-- stderr\nb\n"
+    out_sha, err_sha = (hashlib.sha256(text.encode()).hexdigest() for text in call[2:])
+    assert replay_tool.digest(call) == f"selftest/0 4 {out_sha} {err_sha}\n"
+
+
+def test_main_raw_flag(replay_tool, monkeypatch, capsys):
+    calls = [("a", 0, "x,y\n1,2\n", ""), ("b", 3, "", "validity error: nan\n")]
+    monkeypatch.setattr(replay_tool, "replay", lambda workdir: iter(calls))
+    assert replay_tool.main(["--raw"]) == 0
+    assert capsys.readouterr().out == ("== a 0\nx,y\n1,2\n"
+                                       "== b 3\n-- stderr\nvalidity error: nan\n")
+    assert replay_tool.main([]) == 0
+    assert capsys.readouterr().out == "".join(map(replay_tool.digest, calls))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from varfrac import (DomainError, Interval, QuadConfig, Rect2, Side,
-                     SingularKernelSpec, ValidityError, VariableOrder,
-                     WeightShift, clustered_gl, line_integral_edge,
+                     SingularKernelSpec, SmoothFn1, ValidityError, VariableOrder,
+                     WeightShift, clustered_gl, left_rl_derivative,
+                     line_integral_edge, right_caputo_derivative,
                      singular_integral, tensor_integral)
 from varfrac.quadrature import DEFAULT_QUAD, KernelRule
 
@@ -170,6 +171,29 @@ class TestKernelRule:
         assert v == singular_integral(spec, lambda s: 2.0 + 0.0 * s, 0.1, 0.9)
         rule = KernelRule(spec, 0.1, np.array([0.5, 0.9]))
         assert rule.integrate(2.0)[1] == v
+
+    def test_one_reciprocal_pass_per_rule_and_no_gamma(self, monkeypatch):
+        import varfrac.quadrature as quadrature
+        import varfrac.specialfn as specialfn
+        calls = {"rules": 0, "rgamma1p": 0, "gamma": 0}
+
+        def spy(name, fn):
+            @functools.wraps(fn)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(KernelRule, "__init__", spy("rules", KernelRule.__init__))
+        monkeypatch.setattr(quadrature, "rgamma1p", spy("rgamma1p", specialfn.rgamma1p))
+        for module in (quadrature, specialfn):
+            monkeypatch.setattr(module, "gamma", spy("gamma", specialfn.gamma), raising=False)
+        alpha = VariableOrder(lambda t, tau: 0.3 + 0.2 * t * tau, UNIT)
+        singular_integral(left_spec(alpha), np.exp, 0.0, 0.7)
+        left_rl_derivative(SmoothFn1(np.exp, np.exp), alpha, 0.0, [0.2, 0.5, 0.9])
+        right_caputo_derivative(SmoothFn1(np.exp, np.exp), alpha, [0.2, 0.5], 1.0)
+        assert calls["rules"] >= 3
+        assert calls["rgamma1p"] == calls["rules"] and calls["gamma"] == 0
 
     def test_nonfinite_value_names_node(self):
         spec = left_spec(VariableOrder.constant(0.5, UNIT))

@@ -7,6 +7,14 @@ the byte-identity check of a change:
 
     python tools/cli_replay.py > after.txt
 
+With ``--raw`` each call prints a header line ``== name code`` followed by
+its stdout itself (for a ``solve`` task, the repr of its report) and, when
+not empty, a ``-- stderr`` line and its stderr.  A change that is meant
+to move values at the rounding level bounds the movement from a diff of
+two raw runs:
+
+    python tools/cli_replay.py --raw > after_raw.txt
+
 The corpus:
 
 * the ``op``, ``verify`` and ``solve`` example configs of README.md;
@@ -22,6 +30,7 @@ in-process through ``varfrac.cli.main``.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -46,15 +55,27 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _line(name: str, code, out: str, err: str) -> str:
-    return f"{name} {code} {_sha(out)} {_sha(err)}"
+def digest(call) -> str:
+    """The fingerprint line of a ``(name, code, stdout, stderr)`` call."""
+    name, code, out, err = call
+    return f"{name} {code} {_sha(out)} {_sha(err)}\n"
 
 
-def _cli(name: str, argv) -> str:
+def _ended(text: str) -> str:
+    return text if not text or text.endswith("\n") else text + "\n"
+
+
+def raw(call) -> str:
+    """The ``--raw`` block of a ``(name, code, stdout, stderr)`` call."""
+    name, code, out, err = call
+    return f"== {name} {code}\n{_ended(out)}" + (f"-- stderr\n{_ended(err)}" if err else "")
+
+
+def _cli(name: str, argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = varfrac.cli.main(argv)
-    return _line(name, code, out.getvalue(), err.getvalue())
+    return name, code, out.getvalue(), err.getvalue()
 
 
 def readme_configs():
@@ -64,30 +85,30 @@ def readme_configs():
     return [(command, json.loads(body)) for command, body in blocks]
 
 
-def verify_lines(seed: int, workdir: Path):
-    """Yield a line per ``verify_cli`` benchmark config of ``seed``."""
+def verify_calls(seed: int, workdir: Path):
+    """Yield a call per ``verify_cli`` benchmark config of ``seed``."""
     specs = workloads.verify_specs(seed)
     workloads.verify_write(specs, workdir)
     for i, task in enumerate(workloads.verify_build(varfrac, specs, _SAME, workdir)):
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = task.run()  # the task captures its own stdout
-        yield _line(f"verify_cli/{seed}/{i}", code, out, err.getvalue())
+        yield f"verify_cli/{seed}/{i}", code, out, err.getvalue()
 
 
-def solve_lines(seed: int, workdir: Path):
-    """Yield a line per ``solve`` benchmark task of ``seed``."""
+def solve_calls(seed: int, workdir: Path):
+    """Yield a call per ``solve`` benchmark task of ``seed``."""
     for i, task in enumerate(workloads.solve_build(varfrac, workloads.solve_specs(seed),
                                                    _SAME, workdir)):
         try:
             out, code = repr(task.run().to_json_dict()), 0
         except varfrac.VarfracError as exc:
             out, code = f"{type(exc).__name__}: {exc}", 1
-        yield _line(f"solve/{seed}/{i}", code, out, "")
+        yield f"solve/{seed}/{i}", code, out, ""
 
 
 def replay(workdir: Path):
-    """Yield the corpus lines in order."""
+    """Yield the corpus calls in order, each as ``(name, code, stdout, stderr)``."""
     for command, config in readme_configs():
         path = workdir / f"readme_{command}.json"
         path.write_text(json.dumps(config))
@@ -95,15 +116,19 @@ def replay(workdir: Path):
     for seed in SELFTEST_SEEDS:
         yield _cli(f"selftest/{seed}", ["selftest", "--seed", str(seed)])
     for seed in SEEDS:
-        yield from verify_lines(seed, workdir)
+        yield from verify_calls(seed, workdir)
     for seed in SEEDS:
-        yield from solve_lines(seed, workdir)
+        yield from solve_calls(seed, workdir)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--raw", action="store_true",
+                        help="print each call's output in place of its sha256")
+    show = raw if parser.parse_args(argv).raw else digest
     with tempfile.TemporaryDirectory() as tmp:
-        for line in replay(Path(tmp)):
-            print(line, flush=True)
+        for call in replay(Path(tmp)):
+            print(show(call), end="", flush=True)
     return 0
 
 
