@@ -21,11 +21,15 @@ _CHECK_RNG_SEED = 0x5EED
 
 
 def _as_array_fn(fn):
-    """Wrap a callable so scalar-returning constants broadcast like arrays."""
+    """Wrap a callable so scalar-returning constants broadcast like arrays.
+
+    The result takes the broadcast shape of the arguments and of what
+    ``fn`` returned, so a section whose frozen coordinates add axes keeps
+    them."""
 
     def wrapped(*args):
         out = np.asarray(fn(*args), dtype=float)
-        shape = np.broadcast(*args).shape if args else ()
+        shape = np.broadcast(out, *args).shape
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out
@@ -151,11 +155,13 @@ class VariableOrder:
 
 
 def _fd_derivative(fn, step: float):
-    """4th-order central finite difference of a scalar function."""
+    """4th-order central finite difference of a scalar function; ``fn`` is
+    called once, on the four shifted copies of x stacked on a new leading
+    axis, which gives the values of four calls for an elementwise ``fn``."""
 
     def dfn(x):
-        return (fn(x - 2.0 * step) - 8.0 * fn(x - step)
-                + 8.0 * fn(x + step) - fn(x + 2.0 * step)) / (12.0 * step)
+        v = fn(np.stack([x - 2.0 * step, x - step, x + step, x + 2.0 * step]))
+        return (v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * step)
 
     return dfn
 

@@ -22,21 +22,25 @@ Conventions, applied uniformly through :class:`SingularKernelSpec`:
 Every operator takes a scalar or an array of points and returns a float or
 an array of that shape.  The kernel integrals of a call go in bounded
 batches to :class:`KernelRule`.  The kernel depends on the singular
-endpoint alone, never on a frozen coordinate, so where a batch repeats
-endpoints (a grid of a partial operator) its rule has one row per distinct
-endpoint, gathered per point.  A partial integral or Caputo derivative of
-a :class:`SeparableFn2` goes further (:func:`factor_op`): one rule per
-batch of distinct axis coordinates integrates every factor along the axis
-at once, and the factors of the other axis are multiplied in afterwards;
-RL derivatives and other fields integrate the section at each point.
-Rule construction is elementwise and each row is reduced on its own, so
-every value is bit-identical to the one-point call.  All operations are
-pure.
+endpoint alone, never on a frozen coordinate, so a partial operator keeps
+the axis coordinates and the frozen ones apart: the points are laid out
+as one row per axis coordinate and one column per frozen point that it
+meets (a grid with t1 a column and t2 a row is n rows of m columns), each
+rule has one row per distinct axis coordinate, gathered only where paired
+points repeat one, and the field is called once on those rows against the
+frozen coordinates, broadcasting to rows x columns x nodes.  A partial
+integral or Caputo derivative of a :class:`SeparableFn2` goes further
+(:func:`factor_op`): one rule per batch of distinct axis coordinates
+integrates every factor along the axis at once, and the factors of the
+other axis are multiplied in at the frozen coordinates.  Rule
+construction is elementwise and each row is reduced on its own, so every
+value is bit-identical to the one-point call.  All operations are pure.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Optional
 
 import numpy as np
@@ -44,7 +48,7 @@ import numpy as np
 from .domain import Rect2, SeparableFn2, SmoothFn1, SmoothFn2, VariableOrder, _sum_products
 from .errors import DomainError, ValidityError
 from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
-                         WeightShift)
+                         WeightShift, _require_finite)
 
 # step = min(h, _STEP_DISTANCE_FRACTION * distance-to-singular-endpoint)
 _STEP_DISTANCE_FRACTION = 0.1
@@ -52,6 +56,8 @@ _DEFAULT_STEP_FRACTION = 1e-4
 # bound on the kernel nodes per batch of evaluation points, so memory stays
 # flat for any number of points (a stencil multiplies it by at most 5)
 _BATCH_NODES = 1 << 16
+# the frozen coordinates of a one-variable operator: one column, no value
+_NO_FROZEN = np.zeros((1, 1))
 
 # (offsets in steps, weights) of the 4th-order first-derivative stencils,
 # in the order they are tried; the weights are applied left to right and
@@ -89,16 +95,19 @@ _CAPUTO = (OpKind.D_CAP_LEFT, OpKind.D_CAP_RIGHT)
 def _check(ok: np.ndarray, t: np.ndarray, message):
     """Raise DomainError with ``message(t)`` at the first point failing ``ok``."""
     if not ok.all():
-        raise DomainError(message(float(t[np.argmin(ok)])))
+        raise DomainError(message(float(t.flat[np.argmin(ok)])))
 
 
 def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float,
-                        dist_to_singular: np.ndarray) -> np.ndarray:
-    """d/dt of a field F with algebraic endpoint behaviour, 4th order.
+                        dist_to_singular: np.ndarray, out: np.ndarray):
+    """d/dt of a field F with algebraic endpoint behaviour, 4th order, into out.
 
-    ``F(x, rows)`` evaluates the field at stencil points x, where ``rows``
-    indexes the point of t that each stencil point belongs to; the stencil
-    points of all of t that share a stencil go to F in one call.
+    t holds distinct points.  ``F(i, x)`` evaluates the field at the
+    stencil points ``x[j, 0]`` of the points ``t[i]``, i an index array,
+    and returns the rows of ``out`` that those points cover, the index of
+    each row's point in i (None for one row per point) and the values,
+    one per row, column and stencil point.  Only the stencils that some
+    point needs are evaluated.
     """
     if h <= 0.0:
         raise DomainError(f"stencil step must be positive, got {h}")
@@ -114,22 +123,27 @@ def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float,
             f"no 5-point stencil of step {h_eff[i]:.3e} fits inside [{lo}, {hi}] at t={t[i]}; "
             f"reduce the step h"
         )
-    out = np.empty(t.shape)
     for mask, (offsets, weights) in zip((central, forward, backward), _STENCILS):
-        i = np.flatnonzero(mask)
-        x = (t[i, None] + np.array(offsets) * h_eff[i, None]).ravel()
-        v = F(x, np.repeat(i, len(offsets))).reshape(i.size, len(offsets))
-        acc = weights[0] * v[:, 0]
+        i = mask.nonzero()[0]
+        if not i.size:
+            continue
+        step = h_eff[i]
+        rows, point, v = F(i, t[i, None, None] + np.array(offsets) * step[:, None, None])
+        acc = weights[0] * v[..., 0]
         for k in range(1, len(offsets)):
-            acc = acc + weights[k] * v[:, k]
-        out[i] = acc / (12.0 * h_eff[i])
-    return out
+            acc = acc + weights[k] * v[..., k]
+        out[rows] = acc / (12.0 * (step if point is None else step[point])[:, None])
 
 
 def _distinct(x: np.ndarray):
-    """The distinct values of x, compared by bits (0.0 and -0.0 stay apart)
-    and in order of first occurrence, and the index of each x among them."""
+    """The distinct values of a 1-D x, compared by bits (0.0 and -0.0 stay
+    apart) and in order of first occurrence, and the index of each x among
+    them, None when x repeats no value.  A single value is not sorted."""
+    if x.size < 2:
+        return x, None
     _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+    if first.size == x.size:
+        return x, None
     return x[np.sort(first)], np.argsort(np.argsort(first))[inverse]
 
 
@@ -144,71 +158,136 @@ def _rule(kind: OpKind, alpha: VariableOrder, a: float, b: float, x: np.ndarray,
     return KernelRule(spec, *((a, x) if left else (x, b)), cfg, rows)
 
 
-def _apply(kind: OpKind, sections, alpha: VariableOrder, a: float, b: float,
-           t: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool,
-           where=None) -> np.ndarray:
-    """The operator ``kind`` at the 1-D points t; ``sections(rows)`` is the
-    one-variable integrand (a SmoothFn1) of the points t[rows], rows being
-    an index array.  Left kernels integrate from a, right to b.
+def _batch(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: np.ndarray,
+           frozen: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool,
+           rank, where, faults: list, out: np.ndarray):
+    """The operator ``kind`` at the (t.size, m) points of one batch, into
+    out, which holds zeros: row i holds the axis coordinate t[i] and
+    column j the frozen coordinates ``frozen[i, j]``, or ``frozen[0, j]``
+    when one row serves all.
 
-    For more than one point, each kernel rule is built over the distinct
-    singular endpoints and, where some endpoint repeats, its rows are
-    gathered per point; stencil points of a repeated t repeat too.  A
-    one-point call sorts nothing.  Errors name the first offending point,
-    as a rule of one row per point would, and ``where(i)``, if given, adds
-    what else locates a non-finite integrand value at point t[i]."""
+    Each kernel rule is built over the distinct t, its rows gathered per
+    row of points where t repeats, and the field is called once on those
+    rows against the frozen coordinates: rows x columns x nodes.  A
+    non-finite integrand value appends :func:`_fault` of the first point
+    in ``rank(row, column)`` order to ``faults``, and the batch goes on.
+    """
+    u, inverse = _distinct(t)
+
+    def integrals(i, x):
+        """Kernel integrals, over [a, x] left and [x, b] right, of the
+        section (or its derivative) at every row whose coordinate is in
+        u[i], ``x[j, 0]`` holding the singular endpoints of u[i[j]].
+        Returns the rows, the index in i of each row's coordinate (None
+        for one row each) and the integrals, (rows, m) + x.shape[2:]."""
+        if inverse is None:
+            rows, point = i, None
+        else:
+            sel = np.zeros(u.size, dtype=bool)
+            sel[i] = True
+            rows = sel[inverse].nonzero()[0]
+            point = (np.cumsum(sel) - 1)[inverse[rows]]
+        fz = frozen if frozen.shape[0] == 1 else frozen[rows]
+        f = section(fz.reshape(fz.shape + (1,) * (x.ndim - 1)))
+        fn = f.derivative_callable(alpha.domain, allow_fd)[0] if kind in _CAPUTO else f.value
+        shape = (rows.size, frozen.shape[1]) + x.shape[2:]
+        if not rows.size:
+            return rows, point, np.empty(shape)
+        rule = _rule(kind, alpha, a, b, x, cfg, point)
+        values = fn(rule.tau)
+        try:
+            return rows, point, rule.integrate(values)
+        except ValidityError:
+            faults.append(_fault(rule, np.broadcast_to(values, shape + rule.tau.shape[-1:]),
+                                 lambda i, j: rank(rows[i], j),
+                                 where and (lambda i, j: where(fz[i if len(fz) > 1 else 0, j]))))
+            return rows, point, np.zeros(shape)
+
+    if kind in _RL:
+        step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
+        if kind in _LEFT:
+            _stencil_derivative(integrals, u, a, alpha.domain.b, step, u - a, out)
+        else:
+            _stencil_derivative(integrals, u, alpha.domain.a, b, step, b - u, out)
+            np.negative(out, out=out)
+        return
+    live = (u > a if kind in _LEFT else u < b).nonzero()[0]
+    rows, _, values = integrals(live, u[live, None])
+    out[rows] = -values if kind is OpKind.D_CAP_RIGHT else values
+
+
+def _fault(rule: KernelRule, values: np.ndarray, rank, where):
+    """``(rank(i, j), message)`` of the point (i, j) first in ``rank`` order
+    among those whose integrand values ``values[i, j]`` are not all
+    finite; the message is the one the rule raises for that point alone,
+    with ``where(i, j)`` appended if given."""
+    i, j = np.nonzero(~np.isfinite(values).reshape(values.shape[:2] + (-1,)).all(axis=2))
+    first = np.argmin(rank(i, j))
+    i, j = i[first], j[first]
+    try:
+        _require_finite(values[i, j], "integrand value", lambda idx: rule._node((i, j) + idx))
+    except ValidityError as exc:
+        return rank(i, j), str(exc) if where is None else f"{exc}, {where(i, j)}"
+
+
+def _apply(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: np.ndarray,
+           frozen: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool, order,
+           where=None) -> np.ndarray:
+    """The operator ``kind`` at the points of a (t.size, m) layout: row i
+    holds the axis coordinate t[i] and column j the frozen coordinates
+    ``frozen[i, j]``, or ``frozen[0, j]`` when one row serves all.  Left
+    kernels integrate from a, right to b; ``section(fz)`` is the
+    one-variable integrand (a SmoothFn1) at frozen coordinates fz that
+    broadcast against its argument.
+
+    Batches of at most _BATCH_NODES kernel nodes are cut along the rows,
+    and along the columns where one row alone holds more (:func:`_batch`).
+    Errors name the first offending point, as a one-point call would: a
+    range error the first t, and a non-finite integrand value, over all
+    batches, the first point in the caller's order ``order()``, each
+    point's index there as a (t.size, m) array; ``where(v)``, if given,
+    adds the frozen value v to that message.
+    """
     left, rl = kind in _LEFT, kind in _RL
     # an empty range is allowed, and gives 0, everywhere but under an RL derivative
     _check((t > a if rl else t >= a) if left else (t < b if rl else t <= b), t,
            lambda x: _RANGE_ERRORS[kind].format(t=x, a=a, b=b))
-
-    def integrals(points, x):
-        """Kernel integrals at x, over [a, x] left and [x, b] right, of the
-        section (or its derivative) of the points t[points] that x belongs to."""
-        f = sections(points)
-        fn = f.derivative_callable(alpha.domain, allow_fd)[0] if kind in _CAPUTO else f.value
-        if not x.size:
-            return np.empty(0)
-        rows = None
-        if t.size > 1:
-            distinct, inverse = _distinct(x)
-            if distinct.size < x.size:
-                x, rows = distinct, inverse
-        rule = _rule(kind, alpha, a, b, x, cfg, rows)
-        values = fn(rule.tau)
-        try:
-            return rule.integrate(values)
-        except ValidityError as exc:
-            if where is None:
-                raise
-            finite = np.isfinite(np.broadcast_to(values, rule.tau.shape)).all(axis=1)
-            raise ValidityError(f"{exc}, {where(points[np.argmin(finite)])}") from None
-
-    if rl:
-        F = lambda x, rows: integrals(rows, x)
-        step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
-        if left:
-            return _stencil_derivative(F, t, a, alpha.domain.b, step, t - a)
-        return -_stencil_derivative(F, t, alpha.domain.a, b, step, b - t)
-    live = np.flatnonzero(t > a if left else t < b)
-    values = integrals(live, t[live])
-    out = np.zeros(t.shape)
-    out[live] = -values if kind is OpKind.D_CAP_RIGHT else values
+    m, per_batch = frozen.shape[1], max(1, _BATCH_NODES // cfg.range_nodes)
+    col_step = min(m, per_batch)
+    row_step = max(1, per_batch // col_step)
+    out, faults, shared = np.zeros((t.size, m)), [], len(frozen) == 1
+    for r0 in range(0, t.size, row_step):
+        for c0 in range(0, m, col_step):
+            r, c = slice(r0, r0 + row_step), slice(c0, c0 + col_step)
+            _batch(kind, section, alpha, a, b, t[r], frozen[slice(None) if shared else r, c],
+                   cfg, h, allow_fd, lambda i, j: order()[r0 + i, c0 + j], where, faults,
+                   out[r, c])
+    if faults:
+        raise ValidityError(min(faults)[1])
     return out
 
 
-def _shaped(values: np.ndarray, points: np.ndarray):
-    """Values of the flattened points as a float for a scalar point, else in the points' shape."""
-    return float(values[0]) if points.ndim == 0 else values.reshape(points.shape)
+def _grid(along: np.ndarray, frozen: np.ndarray):
+    """The points of the broadcast of the axis coordinates ``along``
+    against the ``frozen`` coordinates, laid out for :func:`_apply`.
 
-
-def _chunked(apply, points: np.ndarray, cfg: QuadConfig):
-    """``apply`` over slices of the flattened points, each within _BATCH_NODES,
-    reassembled by :func:`_shaped`."""
-    n, step = points.size, max(1, _BATCH_NODES // cfg.range_nodes)
-    return _shaped(apply(slice(None)) if n <= step
-                   else np.concatenate([apply(slice(i, i + step)) for i in range(0, n, step)]),
-                   points)
+    There is one row per element of ``along``, in its order, and one
+    column per point of the broadcast axes along which ``along`` is
+    constant; ``frozen`` keeps one row for all rows unless it varies along
+    the axes of ``along`` too.  Returns the rows' coordinates, the frozen
+    coordinates, the ``order`` function of :func:`_apply`, and the map of
+    (rows, columns) values back to the broadcast shape.
+    """
+    shape = np.broadcast(along, frozen).shape
+    lead = len(shape) - along.ndim
+    cols = [k for k, n in enumerate(shape) if n > 1 and (k < lead or along.shape[k - lead] == 1)]
+    perm = [k for k in range(len(shape)) if k not in cols] + cols
+    layout, m = [shape[k] for k in perm], math.prod(shape[k] for k in cols)
+    fz = frozen.reshape((1,) * (len(shape) - frozen.ndim) + frozen.shape).transpose(perm)
+    back = sorted(range(len(perm)), key=perm.__getitem__)
+    return (along.ravel(), (np.broadcast_to(fz, layout) if fz.size > m else fz).reshape(-1, m),
+            lambda: np.arange(math.prod(shape)).reshape(shape).transpose(perm).reshape(-1, m),
+            lambda out: out.reshape(layout).transpose(back))
 
 
 def interval_op(kind: OpKind, f, alpha: VariableOrder, a: float, b: float, t,
@@ -220,10 +299,10 @@ def interval_op(kind: OpKind, f, alpha: VariableOrder, a: float, b: float, t,
     are those of the matching named operator.
     """
     f = SmoothFn1.wrap(f)
-    kind = OpKind(kind)
     t = np.asarray(t, dtype=float)
-    return _chunked(lambda c: _apply(kind, lambda rows: f, alpha, a, b, t.ravel()[c], cfg, h,
-                                     allow_fd_derivative), t, cfg)
+    values = _apply(OpKind(kind), lambda frozen: f, alpha, a, b, t.ravel(), _NO_FROZEN, cfg, h,
+                    allow_fd_derivative, lambda: np.arange(t.size)[:, None])
+    return float(values[0, 0]) if t.ndim == 0 else values.reshape(t.shape)
 
 
 def left_rl_integral(f, alpha: VariableOrder, a: float, t,
@@ -282,11 +361,16 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
     broadcast together; the result has their broadcast shape.  Each point
     freezes the other coordinate of ``f``, and the matching one-variable
     operator acts on that section; by construction this is exactly the
-    partial operator definition.  For a :class:`SeparableFn2` and an
-    integral or Caputo kind, the operator acts on the factors along the
-    axis instead (:func:`factor_op`), once per distinct axis coordinate.
-    Both coordinates of every point must lie in the closed rectangle, else
-    DomainError names the first that leaves.
+    partial operator definition.  The coordinates along the axis and the
+    frozen ones keep their own shapes: each kernel rule has one row per
+    distinct axis coordinate, and ``f`` is called on those rows against
+    the frozen coordinates, so on a grid (t1 a column, t2 a row) nothing
+    is copied per point before the integrand.  For a
+    :class:`SeparableFn2` and an integral or Caputo kind, the operator
+    acts on the factors along the axis instead (:func:`factor_op`), once
+    per distinct axis coordinate, times the other factors at the frozen
+    coordinates.  Both coordinates of every point must lie in the closed
+    rectangle, else DomainError names the first that leaves.
     """
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
@@ -294,21 +378,28 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
     f2 = SmoothFn2.wrap(f)
     interval = rect.axis(axis)
     t1, t2 = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
-    if t1.shape != t2.shape:
-        t1, t2 = np.broadcast_arrays(t1, t2)
-    ti, frozen = (t1.ravel(), t2.ravel()) if axis == 1 else (t2.ravel(), t1.ravel())
-    for x, i in ((ti, axis), (frozen, 3 - axis)):
+    along, frozen = (t1, t2) if axis == 1 else (t2, t1)
+    for x, i in ((along, axis), (frozen, 3 - axis)):
         lo, hi = rect.axis(i).a, rect.axis(i).b
         _check((x >= lo) & (x <= hi), x,
                lambda v: f"coordinate {v} leaves [{lo}, {hi}] along axis {i}")
+    shape = np.broadcast(along, frozen).shape
+    if not all(shape):
+        return np.zeros(shape)
     if isinstance(f2, SeparableFn2) and kind not in _RL:
-        x, inverse = _distinct(ti)
-        return _shaped(_sum_products(factor_op(kind, axis, f2, alpha, x, rect, cfg)[:, inverse],
-                                     f2.stack(3 - axis, 0, frozen)), t1)
-    return _chunked(lambda c: _apply(kind, lambda rows: f2.section(axis, frozen[c][rows, None]),
-                                     alpha, interval.a, interval.b, ti[c], cfg, h,
-                                     allow_fd_derivative,
-                                     lambda i: f"t{3 - axis} = {frozen[c][i]:.6g}"), t1, cfg)
+        # factors are evaluated on arrays, as for a batch of points, never on a 0-d one
+        along, frozen = np.atleast_1d(along), np.atleast_1d(frozen)
+        x, inverse = _distinct(along.ravel())
+        table = factor_op(kind, axis, f2, alpha, x, rect, cfg)
+        table = (table.reshape((-1,) + along.shape) if inverse is None
+                 else table[:, inverse.reshape(along.shape)])
+        values = _sum_products(table, f2.stack(3 - axis, 0, frozen)).reshape(shape)
+        return float(values) if values.ndim == 0 else values
+    t, fz, order, back = _grid(along, frozen)
+    values = back(_apply(kind, lambda fz: f2.section(axis, fz), alpha, interval.a, interval.b,
+                         t, fz, cfg, h, allow_fd_derivative, order,
+                         lambda v: f"t{3 - axis} = {v:.6g}"))
+    return float(values) if values.ndim == 0 else np.ascontiguousarray(values)
 
 
 def factor_op(kind: OpKind, axis: int, f: SeparableFn2, alpha: VariableOrder, t,

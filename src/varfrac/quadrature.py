@@ -152,21 +152,24 @@ class KernelRule:
     """The graded rule of P ranges as (P, N+1) nodes and one weight matrix.
 
     Range p runs from ``lo`` to ``hi[p]`` for a left kernel and from
-    ``lo[p]`` to ``hi`` for a right one: the singular end is a (P,) array
-    of points inside their ranges, the other end may be a scalar.  Row p of
+    ``lo[p]`` to ``hi`` for a right one: the singular end is an array of
+    points inside their ranges, the other end may be a scalar.  For a (P,)
+    singular end, row p of
     ``tau`` holds the graded panel nodes followed by the branch point, and
     row p of ``weights`` the panel weights times ``s**(beta - 1) /
     Gamma(beta)`` followed by the closed-form sliver weight
     ``eps**beta / Gamma(1 + beta)``, with beta and the integrand frozen at
     the branch point.  The integral of h over range p is
     ``sum_q weights[p, q] * h(tau[p, q])``; one rule serves any number of
-    integrands.  The order function and the reciprocal
+    integrands.  A singular end of any other shape X gives nodes and
+    weights of shape X + (N+1,).  The order function and the reciprocal
     :func:`~varfrac.specialfn.rgamma1p` are called once, and 1/Gamma(beta)
     is ``beta * rgamma1p(beta)``.  Raises ValidityError, naming the node,
     if an effective exponent leaves (0, 1).
 
-    ``rows``, an index array into the ranges, builds each range once and
-    gathers it per point: row p is then range ``rows[p]``.  Construction
+    ``rows``, an index array of any shape into the leading axis of the
+    ranges, builds each range once and gathers it per point: the nodes and
+    weights take the shape ``rows.shape + X[1:] + (N+1,)``.  Construction
     is elementwise in the ranges, so a gathered row has the bits of a row
     built on its own.
     """
@@ -179,10 +182,10 @@ class KernelRule:
         self.t_sing = hi if left else lo
         s, ws, sliver = _unit_panel_nodes(cfg.panels, cfg.nodes_per_panel, cfg.grading)
         S = hi - lo
-        s = S[:, None] * s
-        t_col = self.t_sing[:, None]
+        s = S[..., None] * s
+        t_col = self.t_sing[..., None]
         # the branch point itself rides along as the last node of each row
-        self.tau = np.concatenate([t_col - s if left else t_col + s, t_col], axis=1)
+        self.tau = np.concatenate([t_col - s if left else t_col + s, t_col], axis=-1)
 
         beta = np.asarray(spec.exponent(t_col, self.tau) if left
                           else spec.exponent(self.tau, t_col), dtype=float)
@@ -194,33 +197,36 @@ class KernelRule:
         # 1/Gamma(1 + beta) at every node; 1/Gamma(beta) = beta / Gamma(1 + beta)
         rg1p = rgamma1p(beta)
         self.weights = np.concatenate(
-            [(S[:, None] * ws) * (s ** (beta[:, :-1] - 1.0) * (beta * rg1p)[:, :-1]),
-             ((S * sliver) ** beta[:, -1] * rg1p[:, -1])[:, None]], axis=1)
+            [(S[..., None] * ws) * (s ** (beta[..., :-1] - 1.0) * (beta * rg1p)[..., :-1]),
+             ((S * sliver) ** beta[..., -1] * rg1p[..., -1])[..., None]], axis=-1)
         if rows is not None:
             self.t_sing, self.tau, self.weights = (
                 self.t_sing[rows], self.tau[rows], self.weights[rows])
 
     def _node(self, idx) -> str:
-        """Names the node of an index into (..., P, N+1) values sampled at ``tau``."""
-        return (f"(t, tau) = ({self.t_sing[idx[-2]]:.6g}, {self.tau[idx[-2:]]:.6g}) "
+        """Names the node of an index into values that broadcast ``tau`` against leading axes."""
+        at = tuple(i if n > 1 else 0 for i, n in zip(idx[len(idx) - self.tau.ndim:],
+                                                     self.tau.shape))
+        return (f"(t, tau) = ({self.t_sing[at[:-1]]:.6g}, {self.tau[at]:.6g}) "
                 f"[side={self.spec.side.value}, weight={self.spec.weight_shift.value}]")
 
     def integrate(self, values) -> np.ndarray:
         """Integrals of integrand values sampled at ``tau``.
 
-        ``values`` broadcasts against the (P, N+1) nodes and may carry any
-        leading axes; the result drops the last axis.  Each row is reduced
-        by its own dot product over contiguous values, which depends on
-        neither the other rows nor the leading axes, so a range integrates
-        to the same bits in any batch.  Raises ValidityError, naming the
-        node, at a non-finite value.
+        ``values`` broadcasts against the nodes, and so may repeat each row
+        along axes of its own; the result drops the last axis of that
+        broadcast.  Each row is reduced by its own dot product over
+        contiguous values, which depends on neither the other rows nor the
+        other axes, so a range integrates to the same bits in any batch.
+        Raises ValidityError, naming the node, at a non-finite value.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape[-2:] != self.tau.shape:
-            values = np.broadcast_to(values, values.shape[:-2] + self.tau.shape)
+        shape = np.broadcast(values, self.tau).shape
+        if values.shape != shape:
+            values = np.broadcast_to(values, shape)
         _require_finite(values, "integrand value", self._node)
         rows = np.ascontiguousarray(values)[..., None, :]
-        return np.matmul(rows, self.weights[:, :, None])[..., 0, 0]
+        return np.matmul(rows, self.weights[..., None])[..., 0, 0]
 
 
 def singular_integral(spec: SingularKernelSpec, h, lo: float, hi: float,

@@ -89,6 +89,18 @@ class TestSmoothFn1:
         x = np.linspace(0.1, 0.9, 5)
         assert np.max(np.abs(dfn(x) - np.cos(x))) < 1e-10
 
+    def test_fd_fallback_calls_the_function_once(self):
+        # one call on the four shifted copies, with the bits of four calls
+        calls = []
+        fn = lambda t: calls.append(np.shape(t)) or np.exp(np.sin(3.0 * t))
+        dfn, _ = SmoothFn1(fn).derivative_callable(UNIT)
+        x, step = np.linspace(0.1, 0.9, 7)[:, None] + np.zeros(3), 1e-5
+        four = (fn(x - 2.0 * step) - 8.0 * fn(x - step)
+                + 8.0 * fn(x + step) - fn(x + 2.0 * step)) / (12.0 * step)
+        calls.clear()
+        assert dfn(x).tobytes() == four.tobytes()
+        assert calls == [(4, 7, 3)]
+
     def test_fd_fallback_disabled(self):
         f = SmoothFn1(lambda t: np.sin(t))
         with pytest.raises(ConfigurationError):
@@ -126,6 +138,17 @@ class TestSmoothFn2:
         s2 = f.section(2, 2.0)
         assert s2(0.5) == pytest.approx(4.0 + 1.5)
         assert s2.derivative(0.25) == pytest.approx(3.0)
+
+    def test_section_frozen_array_adds_axes(self):
+        # the result takes the broadcast of the argument and the frozen array
+        f = SmoothFn2(lambda t1, t2: t1 * t2)
+        frozen, s = np.array([0.5, 2.0])[:, None, None], np.array([0.1, 0.2, 0.3])[None, :]
+        for axis in (1, 2):
+            out = f.section(axis, frozen).value(s)
+            assert out.shape == (2, 1, 3)
+            assert np.array_equal(out, frozen * s)
+        # a constant field broadcasts to the same shape
+        assert SmoothFn2(lambda t1, t2: 2.0).section(1, frozen).value(s).shape == (2, 1, 3)
 
     def test_section_without_partial_has_no_derivative(self):
         f = SmoothFn2(lambda t1, t2: t1 * t2)

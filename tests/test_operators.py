@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gamma as sgamma
@@ -9,6 +11,7 @@ from varfrac import (ConfigurationError, DomainError, Interval, OpKind, Rect2,
                      right_rl_derivative, right_rl_integral)
 
 from varfrac import operators
+from varfrac.domain import SeparableFn2
 from varfrac.quadrature import DEFAULT_QUAD, KernelRule, Side
 
 from conftest import UNIT, UNIT_RECT, mpgamma, random_poly1, random_poly2
@@ -450,26 +453,80 @@ class TestArrayEvaluation:
         zero, minus_zero = (grid[0, 0], grid[2, 0]) if axis == 1 else (grid[0, 0], grid[0, 2])
         assert zero != minus_zero
 
+    @pytest.mark.parametrize("kind", list(OpKind))
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("separable", [False, True])
+    @pytest.mark.parametrize("layout", ["3-D", "scalar-row"])
+    def test_broadcast_layouts(self, kind, axis, separable, layout):
+        # the nested Caputo calls of el_residual broadcast t1 (R, 1, K)
+        # against t2 (1, n, 1); a contour edge calls a scalar against a row
+        alpha = VariableOrder(lambda t, tau: 0.35 + 0.1 * t + 0.05 * tau, UNIT)
+        rng = np.random.default_rng(11)
+        if separable:  # the last factor has no derivative
+            g1, h1, g2 = (random_poly1(rng).as_smooth_fn1() for _ in range(3))
+            f = SeparableFn2([(g1, h1), (g2, random_poly1(rng))], UNIT_RECT)
+        else:
+            f = random_poly2(rng).as_smooth_fn2()
+        along = np.array(grid_for(kind))
+        if layout == "3-D":
+            column = np.resize(along, 6).reshape(2, 1, 3)  # one coordinate repeats
+            t1 = column if axis == 1 else np.linspace(0.0, 1.0, 6).reshape(2, 1, 3)
+            t2 = np.linspace(0.0, 1.0, 5).reshape(1, -1, 1) if axis == 1 else along[None, :, None]
+        else:
+            t1, t2 = (along[2], np.linspace(0.0, 1.0, 4)) if axis == 1 else (0.6, along)
+        shape = np.broadcast(t1, t2).shape
+        grid = partial_op(kind, axis, f, alpha, (t1, t2), UNIT_RECT)
+        b1, b2 = np.broadcast_to(t1, shape), np.broadcast_to(t2, shape)
+        loop = [partial_op(kind, axis, f, alpha, (b1[i], b2[i]), UNIT_RECT)
+                for i in np.ndindex(shape)]
+        assert grid.shape == shape and grid.flags.c_contiguous
+        assert all(type(v) is float for v in loop)
+        assert same_bits(grid.ravel(), loop)
+
     @pytest.fixture
     def rule_rows(self, monkeypatch):
         """The ranges built by every KernelRule of the operators (rows before
-        any gather), and the number of np.unique calls they make."""
-        built, sorts = [], []
+        any gather), the sizes of the arrays np.unique sorts there, and the
+        shapes of every rule's nodes and weights after the gather."""
+        built, sorts, gathered = [], [], []
 
         class CountingRule(KernelRule):
             def __init__(self, spec, lo, hi, cfg, rows=None):
                 super().__init__(spec, lo, hi, cfg, rows)
-                built.append(np.size(hi if spec.side is Side.LEFT else lo))
-                assert self.tau.shape[0] == (built[-1] if rows is None else len(rows))
+                end = np.asarray(hi if spec.side is Side.LEFT else lo)
+                built.append(end.size)
+                assert self.tau.shape[0] == (len(end) if rows is None else len(rows))
+                gathered.extend([self.tau.shape, self.weights.shape])
 
         unique = np.unique
         monkeypatch.setattr(operators, "KernelRule", CountingRule)
         monkeypatch.setattr(operators.np, "unique",
-                            lambda *a, **k: sorts.append(1) or unique(*a, **k))
-        return built, sorts
+                            lambda x, *a, **k: sorts.append(np.size(x)) or unique(x, *a, **k))
+        return built, sorts, gathered
+
+    @pytest.mark.parametrize("kind", list(OpKind))
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_grid_work_is_per_axis_coordinate(self, rule_rows, kind, axis):
+        # on an n x m grid, nothing is sorted or gathered per point, and each
+        # integral calls the field on at most n * m rows of nodes
+        built, sorts, gathered = rule_rows
+        n, m, nodes = 6, 7, DEFAULT_QUAD.range_nodes
+        p, calls = random_poly2(np.random.default_rng(5)), []
+
+        def counted(fn):
+            return lambda t1, t2: calls.append(np.broadcast(t1, t2).size) or fn(t1, t2)
+
+        f = SmoothFn2(counted(p), counted(p.partial(1)), counted(p.partial(2)), check=False)
+        along, other = np.linspace(0.1, 0.9, n), np.linspace(0.0, 1.0, m)
+        t1, t2 = (along[:, None], other[None, :]) if axis == 1 else (other[:, None], along[None, :])
+        partial_op(kind, axis, f, sr_alpha(), (t1, t2), UNIT_RECT)
+        assert sorts and max(sorts) <= n
+        assert all(math.prod(shape[:-1]) <= 5 * n for shape in gathered)
+        stencil = 5 if kind in (OpKind.D_RL_LEFT, OpKind.D_RL_RIGHT) else 1
+        assert calls and max(calls) <= stencil * n * m * nodes
 
     def test_one_rule_row_per_distinct_coordinate(self, rule_rows):
-        built, sorts = rule_rows
+        built, sorts, _ = rule_rows
         alpha = sr_alpha()
         f = random_poly2(np.random.default_rng(3)).as_smooth_fn2()
         t1, t2 = np.linspace(0.1, 0.9, 5)[:, None], np.linspace(0.0, 1.0, 7)[None, :]
@@ -484,7 +541,7 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.D_RL_RIGHT, OpKind.D_CAP_LEFT])
     def test_one_point_does_not_sort(self, rule_rows, kind):
-        built, sorts = rule_rows
+        built, sorts, _ = rule_rows
         f = random_poly2(np.random.default_rng(4)).as_smooth_fn2()
         partial_op(kind, 1, f, sr_alpha(), (0.5, 0.5), UNIT_RECT)
         left_rl_integral(lambda tau: tau, sr_alpha(), 0.0, 0.5)
@@ -493,7 +550,7 @@ class TestArrayEvaluation:
 
     def test_distinct_points_sort_once(self, rule_rows):
         # one sort finds no repeat, and the rule is built over the points
-        built, sorts = rule_rows
+        built, sorts, _ = rule_rows
         left_rl_integral(lambda tau: tau, sr_alpha(), 0.0, np.linspace(0.1, 0.9, 9))
         assert built == [9] and len(sorts) == 1
 
@@ -522,6 +579,21 @@ class TestNonFinite:
         assert str(batch.value) == str(one.value)
         # the frozen coordinate tells (1.5, 1.0) from (1.5, 0.5)
         assert str(one.value).endswith(", t2 = 1")
+
+    @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.D_RL_LEFT])
+    def test_first_nan_in_the_callers_order(self, kind):
+        # along axis 2 of a (t1 column, t2 row) grid the points are evaluated
+        # per t2, so (t1, t2) = (0.8, 0.2) comes before (0.2, 0.9) there; the
+        # caller's order, and so the error, has (0.2, 0.9) first
+        f = SmoothFn2(lambda t1, t2: np.sqrt((t2 - 0.7) * (t1 - 0.5)), check=False)
+        grid = (np.array([0.2, 0.8])[:, None], np.array([0.2, 0.5, 0.9])[None, :])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidityError) as one:
+                partial_op(kind, 2, f, sr_alpha(), (0.2, 0.9), UNIT_RECT)
+            with pytest.raises(ValidityError) as batch:
+                partial_op(kind, 2, f, sr_alpha(), grid, UNIT_RECT)
+        assert str(batch.value) == str(one.value)
+        assert str(one.value).endswith(", t1 = 0.2")
 
     def test_exponent_outside_range_at_repeated_coordinate(self):
         # the order leaves (0, 1) for t > 0.7; of the repeated t2 values the
