@@ -128,6 +128,9 @@ def _cmd_verify(config, args) -> int:
     identity = config["identity"]
     if identity not in ("ibp", "green"):
         raise ExpressionError(f"unknown identity {identity!r}; expected 'ibp' or 'green'")
+    ladder = config.get("ladder", [[16, 16], [24, 24], [32, 32]])
+    if not ladder:
+        raise ExpressionError("ladder has no rungs; expected [[outer_grid, panels], ...]")
     rect = _build_rect(config["rect"])
     quad = _build_quad(config.get("quad"))
     tolerance = args.tolerance if args.tolerance is not None \
@@ -135,7 +138,6 @@ def _cmd_verify(config, args) -> int:
     mode = "above_one_over_l" if identity == "ibp" else "below_one_minus"
     alpha1 = _build_alpha(config["alpha1"], rect.t1, int(config.get("l1", 2)), mode)
     alpha2 = _build_alpha(config["alpha2"], rect.t2, int(config.get("l2", 2)), mode)
-    ladder = config.get("ladder", [[16, 16], [24, 24], [32, 32]])
 
     f = _fn2_from_config(config, "f")
     g = _fn2_from_config(config, "g")
@@ -145,15 +147,13 @@ def _cmd_verify(config, args) -> int:
     etas = [_fn2_from_config(config, name)
             for name in (("eta1", "eta2") if identity == "ibp" else ("eta",))]
     verify = verify_ibp if identity == "ibp" else verify_green
-    last = None
     for level, (outer_grid, panels) in enumerate(ladder):
         cfg = QuadConfig(panels=int(panels), nodes_per_panel=quad.nodes_per_panel,
                          grading=quad.grading)
         rep = verify(f, g, *etas, alpha1, alpha2, rect, int(outer_grid), cfg, tolerance)
         out.write(f"{level},{int(outer_grid)},{int(panels)},"
                   f"{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.residual)}\n")
-        last = rep
-    return 0 if last is not None and abs(last.residual) <= tolerance else 4
+    return 0 if abs(rep.residual) <= tolerance else 4
 
 
 _L_VARS = ("t1", "t2", "u", "d1", "d2")

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, ValidityError
 
 _CHECK_RNG_SEED = 0x5EED
+# points per side of the lattice on which an order function's bounds are checked
+_VALIDATION_GRID = 64
 
 
 def _as_array_fn(fn):
@@ -104,16 +106,15 @@ class VariableOrder:
 
     ``fn`` is evaluated with both arguments in ``domain``; left-sided kernels
     call it as alpha(t, tau), right-sided kernels as alpha(tau, t).  On
-    construction the values are sampled on a ``validation_grid`` x
-    ``validation_grid`` lattice of domain x domain and must lie strictly
-    inside the interval implied by ``bound_mode`` and ``l``.
+    construction the values are sampled on a 64 x 64 lattice of domain x
+    domain and must lie strictly inside the interval implied by
+    ``bound_mode`` and ``l``, unless ``validate`` is off.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: Interval
     l: int = 2
     bound_mode: BoundMode = BoundMode.PLAIN
-    validation_grid: int = 64
     validate: bool = True
 
     def __post_init__(self):
@@ -136,7 +137,7 @@ class VariableOrder:
 
     def _check_bounds_on_grid(self):
         lo, hi = self.bounds
-        g = np.linspace(self.domain.a, self.domain.b, self.validation_grid)
+        g = np.linspace(self.domain.a, self.domain.b, _VALIDATION_GRID)
         tt, uu = np.meshgrid(g, g, indexing="ij")
         vals = self.fn(tt, uu)
         bad = ~((vals > lo) & (vals < hi))

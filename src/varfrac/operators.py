@@ -26,15 +26,17 @@ endpoint alone, never on a frozen coordinate, so a partial operator keeps
 the axis coordinates and the frozen ones apart: the points are laid out
 as one row per axis coordinate and one column per frozen point that it
 meets (a grid with t1 a column and t2 a row is n rows of m columns), each
-rule has one row per distinct axis coordinate, gathered only where paired
-points repeat one, and the field is called once on those rows against the
-frozen coordinates, broadcasting to rows x columns x nodes.  A partial
-integral or Caputo derivative of a :class:`SeparableFn2` goes further
-(:func:`factor_op`): one rule per batch of distinct axis coordinates
-integrates every factor along the axis at once, and the factors of the
-other axis are multiplied in at the frozen coordinates.  Rule
-construction is elementwise and each row is reduced on its own, so every
-value is bit-identical to the one-point call.  All operations are pure.
+rule has one row per row of points, and the field is called once on those
+rows against the frozen coordinates, broadcasting to rows x columns x
+nodes.  So a grid passed as a column and a row costs one rule row per
+axis coordinate, while paired points (two arrays of one shape) cost one
+per point, a repeated axis coordinate included.  A partial integral or
+Caputo derivative of a :class:`SeparableFn2` goes further
+(:func:`factor_op`): one rule per batch of axis coordinates integrates
+every factor along the axis at once, and the factors of the other axis
+are multiplied in at the frozen coordinates.  Rule construction is
+elementwise and each row is reduced on its own, so every value is
+bit-identical to the one-point call.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -102,12 +104,10 @@ def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float,
                         dist_to_singular: np.ndarray, out: np.ndarray):
     """d/dt of a field F with algebraic endpoint behaviour, 4th order, into out.
 
-    t holds distinct points.  ``F(i, x)`` evaluates the field at the
-    stencil points ``x[j, 0]`` of the points ``t[i]``, i an index array,
-    and returns the rows of ``out`` that those points cover, the index of
-    each row's point in i (None for one row per point) and the values,
-    one per row, column and stencil point.  Only the stencils that some
-    point needs are evaluated.
+    ``F(i, x)`` evaluates the field at the stencil points ``x[j, 0]`` of
+    the points ``t[i]``, i an index array, and returns the values, one per
+    point, column of ``out`` and stencil point.  Only the stencils that
+    some point needs are evaluated.
     """
     if h <= 0.0:
         raise DomainError(f"stencil step must be positive, got {h}")
@@ -128,34 +128,22 @@ def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float,
         if not i.size:
             continue
         step = h_eff[i]
-        rows, point, v = F(i, t[i, None, None] + np.array(offsets) * step[:, None, None])
+        v = F(i, t[i, None, None] + np.array(offsets) * step[:, None, None])
         acc = weights[0] * v[..., 0]
         for k in range(1, len(offsets)):
             acc = acc + weights[k] * v[..., k]
-        out[rows] = acc / (12.0 * (step if point is None else step[point])[:, None])
-
-
-def _distinct(x: np.ndarray):
-    """The distinct values of a 1-D x, compared by bits (0.0 and -0.0 stay
-    apart) and in order of first occurrence, and the index of each x among
-    them, None when x repeats no value.  A single value is not sorted."""
-    if x.size < 2:
-        return x, None
-    _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
-    if first.size == x.size:
-        return x, None
-    return x[np.sort(first)], np.argsort(np.argsort(first))[inverse]
+        out[i] = acc / (12.0 * step[:, None])
 
 
 def _rule(kind: OpKind, alpha: VariableOrder, a: float, b: float, x: np.ndarray,
-          cfg: QuadConfig, rows=None) -> KernelRule:
+          cfg: QuadConfig) -> KernelRule:
     """The kernel rule of ``kind`` at the singular endpoints x, over [a, x]
     for a left kernel and [x, b] for a right one."""
     left = kind in _LEFT
     spec = SingularKernelSpec(alpha, Side.LEFT if left else Side.RIGHT,
                               WeightShift.INTEGRAL if kind in (OpKind.I_LEFT, OpKind.I_RIGHT)
                               else WeightShift.DERIVATIVE)
-    return KernelRule(spec, *((a, x) if left else (x, b)), cfg, rows)
+    return KernelRule(spec, *((a, x) if left else (x, b)), cfg)
 
 
 def _batch(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: np.ndarray,
@@ -166,54 +154,43 @@ def _batch(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: n
     column j the frozen coordinates ``frozen[i, j]``, or ``frozen[0, j]``
     when one row serves all.
 
-    Each kernel rule is built over the distinct t, its rows gathered per
-    row of points where t repeats, and the field is called once on those
-    rows against the frozen coordinates: rows x columns x nodes.  A
-    non-finite integrand value appends :func:`_fault` of the first point
-    in ``rank(row, column)`` order to ``faults``, and the batch goes on.
+    Each kernel rule has one row per row of points, and the field is
+    called once on those rows against the frozen coordinates: rows x
+    columns x nodes.  A non-finite integrand value appends :func:`_fault`
+    of the first point in ``rank(row, column)`` order to ``faults``, and
+    the batch goes on.
     """
-    u, inverse = _distinct(t)
-
     def integrals(i, x):
         """Kernel integrals, over [a, x] left and [x, b] right, of the
-        section (or its derivative) at every row whose coordinate is in
-        u[i], ``x[j, 0]`` holding the singular endpoints of u[i[j]].
-        Returns the rows, the index in i of each row's coordinate (None
-        for one row each) and the integrals, (rows, m) + x.shape[2:]."""
-        if inverse is None:
-            rows, point = i, None
-        else:
-            sel = np.zeros(u.size, dtype=bool)
-            sel[i] = True
-            rows = sel[inverse].nonzero()[0]
-            point = (np.cumsum(sel) - 1)[inverse[rows]]
-        fz = frozen if frozen.shape[0] == 1 else frozen[rows]
+        section (or its derivative) at the rows i, ``x[j, 0]`` holding the
+        singular endpoints of row i[j]: an array (i.size, m) + x.shape[2:]."""
+        fz = frozen if frozen.shape[0] == 1 else frozen[i]
         f = section(fz.reshape(fz.shape + (1,) * (x.ndim - 1)))
         fn = f.derivative_callable(alpha.domain, allow_fd)[0] if kind in _CAPUTO else f.value
-        shape = (rows.size, frozen.shape[1]) + x.shape[2:]
-        if not rows.size:
-            return rows, point, np.empty(shape)
-        rule = _rule(kind, alpha, a, b, x, cfg, point)
+        shape = (i.size, frozen.shape[1]) + x.shape[2:]
+        if not i.size:
+            return np.empty(shape)
+        rule = _rule(kind, alpha, a, b, x, cfg)
         values = fn(rule.tau)
         try:
-            return rows, point, rule.integrate(values)
+            return rule.integrate(values)
         except ValidityError:
             faults.append(_fault(rule, np.broadcast_to(values, shape + rule.tau.shape[-1:]),
-                                 lambda i, j: rank(rows[i], j),
-                                 where and (lambda i, j: where(fz[i if len(fz) > 1 else 0, j]))))
-            return rows, point, np.zeros(shape)
+                                 lambda r, j: rank(i[r], j),
+                                 where and (lambda r, j: where(fz[r if len(fz) > 1 else 0, j]))))
+            return np.zeros(shape)
 
     if kind in _RL:
         step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
         if kind in _LEFT:
-            _stencil_derivative(integrals, u, a, alpha.domain.b, step, u - a, out)
+            _stencil_derivative(integrals, t, a, alpha.domain.b, step, t - a, out)
         else:
-            _stencil_derivative(integrals, u, alpha.domain.a, b, step, b - u, out)
+            _stencil_derivative(integrals, t, alpha.domain.a, b, step, b - t, out)
             np.negative(out, out=out)
         return
-    live = (u > a if kind in _LEFT else u < b).nonzero()[0]
-    rows, _, values = integrals(live, u[live, None])
-    out[rows] = -values if kind is OpKind.D_CAP_RIGHT else values
+    live = (t > a if kind in _LEFT else t < b).nonzero()[0]
+    values = integrals(live, t[live, None])
+    out[live] = -values if kind is OpKind.D_CAP_RIGHT else values
 
 
 def _fault(rule: KernelRule, values: np.ndarray, rank, where):
@@ -363,14 +340,17 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
     operator acts on that section; by construction this is exactly the
     partial operator definition.  The coordinates along the axis and the
     frozen ones keep their own shapes: each kernel rule has one row per
-    distinct axis coordinate, and ``f`` is called on those rows against
-    the frozen coordinates, so on a grid (t1 a column, t2 a row) nothing
-    is copied per point before the integrand.  For a
-    :class:`SeparableFn2` and an integral or Caputo kind, the operator
-    acts on the factors along the axis instead (:func:`factor_op`), once
-    per distinct axis coordinate, times the other factors at the frozen
-    coordinates.  Both coordinates of every point must lie in the closed
-    rectangle, else DomainError names the first that leaves.
+    element of the axis coordinates, and ``f`` is called on those rows
+    against the frozen coordinates, so on a grid (t1 a column, t2 a row)
+    nothing is copied per point before the integrand.  Pass a grid that
+    way: as paired points (two arrays of the grid's shape) every point
+    builds its own rule row, however often its axis coordinate repeats.
+    For a :class:`SeparableFn2` and an integral or Caputo kind, the
+    operator acts on the factors along the axis instead
+    (:func:`factor_op`), once per element of the axis coordinates, times
+    the other factors at the frozen coordinates.  Both coordinates of
+    every point must lie in the closed rectangle, else DomainError names
+    the first that leaves.
     """
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
@@ -389,10 +369,8 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
     if isinstance(f2, SeparableFn2) and kind not in _RL:
         # factors are evaluated on arrays, as for a batch of points, never on a 0-d one
         along, frozen = np.atleast_1d(along), np.atleast_1d(frozen)
-        x, inverse = _distinct(along.ravel())
-        table = factor_op(kind, axis, f2, alpha, x, rect, cfg)
-        table = (table.reshape((-1,) + along.shape) if inverse is None
-                 else table[:, inverse.reshape(along.shape)])
+        table = factor_op(kind, axis, f2, alpha, along.ravel(), rect, cfg)
+        table = table.reshape((-1,) + along.shape)
         values = _sum_products(table, f2.stack(3 - axis, 0, frozen)).reshape(shape)
         return float(values) if values.ndim == 0 else values
     t, fz, order, back = _grid(along, frozen)
@@ -409,9 +387,9 @@ def factor_op(kind: OpKind, axis: int, f: SeparableFn2, alpha: VariableOrder, t,
 
     One kernel rule per batch of points integrates all factors at once.
     The points must lie in the axis interval, as :func:`partial_op`
-    checks; called on distinct points, this is its 1-D work on a separable
-    field, whose value at (t, frozen) is the sum over terms of this table
-    times the other factor at frozen.
+    checks; called on its axis coordinates, this is its 1-D work on a
+    separable field, whose value at (t, frozen) is the sum over terms of
+    this table times the other factor at frozen.
     """
     kind, interval, t = OpKind(kind), rect.axis(axis), np.asarray(t, dtype=float)
     live = np.flatnonzero(t > interval.a if kind in _LEFT else t < interval.b)

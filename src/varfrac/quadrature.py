@@ -19,8 +19,9 @@ panel weights and closed-form sliver of P ranges folded into one (P, N+1)
 weight matrix, called against integrand values at its nodes.  Each row is
 reduced by its own dot product, so a range gives the same bits alone
 (:func:`singular_integral`), in a batch of operator points, or under the
-leading axes of a Ritz table; a range that repeats in a batch is built
-once and its row gathered.
+leading axes of a Ritz table.  Construction is elementwise in the ranges
+too, so a range that repeats in a batch has the same bits in each of its
+rows.
 """
 
 from __future__ import annotations
@@ -164,18 +165,12 @@ class KernelRule:
     integrands.  A singular end of any other shape X gives nodes and
     weights of shape X + (N+1,).  The order function and the reciprocal
     :func:`~varfrac.specialfn.rgamma1p` are called once, and 1/Gamma(beta)
-    is ``beta * rgamma1p(beta)``.  Raises ValidityError, naming the node,
-    if an effective exponent leaves (0, 1).
-
-    ``rows``, an index array of any shape into the leading axis of the
-    ranges, builds each range once and gathers it per point: the nodes and
-    weights take the shape ``rows.shape + X[1:] + (N+1,)``.  Construction
-    is elementwise in the ranges, so a gathered row has the bits of a row
-    built on its own.
+    is ``beta * rgamma1p(beta)``.  Construction is elementwise in the
+    ranges, so each row has the bits of a row built on its own.  Raises
+    ValidityError, naming the node, if an effective exponent leaves (0, 1).
     """
 
-    def __init__(self, spec: SingularKernelSpec, lo, hi, cfg: QuadConfig = DEFAULT_QUAD,
-                 rows=None):
+    def __init__(self, spec: SingularKernelSpec, lo, hi, cfg: QuadConfig = DEFAULT_QUAD):
         self.spec = spec
         left = spec.side is Side.LEFT
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -199,9 +194,6 @@ class KernelRule:
         self.weights = np.concatenate(
             [(S[..., None] * ws) * (s ** (beta[..., :-1] - 1.0) * (beta * rg1p)[..., :-1]),
              ((S * sliver) ** beta[..., -1] * rg1p[..., -1])[..., None]], axis=-1)
-        if rows is not None:
-            self.t_sing, self.tau, self.weights = (
-                self.t_sing[rows], self.tau[rows], self.weights[rows])
 
     def _node(self, idx) -> str:
         """Names the node of an index into values that broadcast ``tau`` against leading axes."""

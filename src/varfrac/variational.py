@@ -499,9 +499,12 @@ def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
     returned report carries the coefficient vector, the functional value,
     the gradient norm reached, and the stationarity residual of the
     solution on an ``el_grid`` x ``el_grid`` interior grid (``el_grid=0``
-    skips that, leaving NaN).  BFGS gets the exact gradient of the
-    tabulated J from the declared partials of ``L``.  Evaluation is serial.
+    skips that, leaving NaN; DomainError, before any work, unless it is a
+    non-negative integer).  BFGS gets the exact gradient of the tabulated
+    J from the declared partials of ``L``.  Evaluation is serial.
     """
+    if int(el_grid) != el_grid or el_grid < 0:
+        raise DomainError(f"el_grid must be a non-negative integer, got {el_grid}")
     expansion = RitzExpansion.zero(psi, n_modes)
     if coeffs0 is not None:
         expansion = expansion.with_coeffs(coeffs0)

@@ -68,6 +68,22 @@ class TestOpCommand:
         assert float(lines[1].split(",")[2]) == pytest.approx(
             0.5 * mpgamma(3.0) / mpgamma(3.5), rel=1e-8)
 
+    @pytest.mark.parametrize("kind", ["I_left", "D_rl_right", "D_cap_left"])
+    def test_partial_points_repeating_t1_match_one_point_configs(self, tmp_path, capsys, kind):
+        # every point builds its own rule row, repeated t1 or not
+        base = {"kind": kind, "axis": 1, "f": "t1*t2^2+sin(t1*t2)", "alpha": "0.3+0.1*t*tau",
+                "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1}}
+        points = [[0.4, 0.2], [0.7, 0.5], [0.4, 0.9], [0.4, 0.2]]
+        code, out, _ = run_cli(capsys, ["op", "--config",
+                                        write_config(tmp_path, {**base, "points": points})])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 1 + len(points) and lines[1] == lines[4]
+        for k, point in enumerate(points):
+            one = write_config(tmp_path, {**base, "points": [point]}, name=f"one{k}.json")
+            code, out, _ = run_cli(capsys, ["op", "--config", one])
+            assert code == 0 and out.strip().split("\n")[1] == lines[1 + k]
+
     def test_expression_parse_failure_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "kind": "I_left", "f": "tau + nope", "alpha": "0.5",
@@ -172,6 +188,19 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, ["verify", "--config", cfg])
         assert code == 4
 
+    def test_empty_ladder_exit_2(self, tmp_path, capsys):
+        # exit 4 would claim a residual above tolerance that was never computed
+        cfg = write_config(tmp_path, {
+            "identity": "ibp", "f": "1", "g": "1", "eta1": "1", "eta2": "1",
+            "alpha1": "0.5", "alpha2": "0.5", "l1": 3, "l2": 3,
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+            "ladder": [],
+        })
+        code, out, err = run_cli(capsys, ["verify", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ladder has no rungs")
+
     def test_tolerance_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "identity": "ibp", "f": "1", "g": "1", "eta1": "1", "eta2": "1",
@@ -235,6 +264,19 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, ["solve", "--config", cfg])
         assert code == 5
 
+
+    @pytest.mark.parametrize("el_grid", [-2, -1])
+    def test_negative_el_grid_exit_3(self, tmp_path, capsys, el_grid):
+        cfg = write_config(tmp_path, {
+            "lagrangian": "quadratic", "psi": 0.0,
+            "alpha1": "0.4", "alpha2": "0.4", "l1": 3, "l2": 3,
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+            "n_modes": 1, "outer_grid": 8, "el_grid": el_grid,
+        })
+        code, out, err = run_cli(capsys, ["solve", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        assert f"el_grid must be a non-negative integer, got {el_grid}" in err
 
     def test_nonfinite_corner_exit_3(self, tmp_path, capsys):
         # (t1 - 2)^0.5 is NaN on the whole bottom edge, corners included

@@ -67,6 +67,14 @@ class TestVariableOrder:
         a = VariableOrder(lambda t, tau: 0.2 + 0.9 * t, UNIT, validate=False)
         assert a(1.0, 0.0) == pytest.approx(1.1)
 
+    def test_bounds_check_has_no_grid_knob(self):
+        # validate=False is the one switch: no lattice size turns the check off
+        with pytest.raises(TypeError, match="validation_grid"):
+            VariableOrder(lambda t, tau: 1.5 + 0.0 * t, UNIT, validation_grid=0)
+        # the lattice reaches the domain's corners
+        with pytest.raises(ValidityError, match=r"alpha\(1, 1\) = 1\.1"):
+            VariableOrder(lambda t, tau: 0.5 + 0.6 * ((t == 1.0) & (tau == 1.0)), UNIT)
+
     def test_constant_broadcasts(self):
         a = VariableOrder.constant(0.5, UNIT)
         out = a(np.zeros(5), np.linspace(0, 1, 5))

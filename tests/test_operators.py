@@ -485,31 +485,33 @@ class TestArrayEvaluation:
 
     @pytest.fixture
     def rule_rows(self, monkeypatch):
-        """The ranges built by every KernelRule of the operators (rows before
-        any gather), the sizes of the arrays np.unique sorts there, and the
-        shapes of every rule's nodes and weights after the gather."""
-        built, sorts, gathered = [], [], []
+        """The ranges built by every KernelRule of the operators, the sizes
+        of the arrays that numpy sorts meanwhile, and the shapes of every
+        rule's nodes and weights."""
+        built, sorts, shapes = [], [], []
 
         class CountingRule(KernelRule):
-            def __init__(self, spec, lo, hi, cfg, rows=None):
-                super().__init__(spec, lo, hi, cfg, rows)
+            def __init__(self, spec, lo, hi, cfg):
+                super().__init__(spec, lo, hi, cfg)
                 end = np.asarray(hi if spec.side is Side.LEFT else lo)
                 built.append(end.size)
-                assert self.tau.shape[0] == (len(end) if rows is None else len(rows))
-                gathered.extend([self.tau.shape, self.weights.shape])
+                assert self.tau.shape[:-1] == end.shape
+                shapes.extend([self.tau.shape, self.weights.shape])
 
-        unique = np.unique
+        def counted(sort):
+            return lambda x, *a, **k: sorts.append(np.size(x)) or sort(x, *a, **k)
+
         monkeypatch.setattr(operators, "KernelRule", CountingRule)
-        monkeypatch.setattr(operators.np, "unique",
-                            lambda x, *a, **k: sorts.append(np.size(x)) or unique(x, *a, **k))
-        return built, sorts, gathered
+        for name in ("unique", "sort", "argsort", "lexsort"):
+            monkeypatch.setattr(operators.np, name, counted(getattr(np, name)))
+        return built, sorts, shapes
 
     @pytest.mark.parametrize("kind", list(OpKind))
     @pytest.mark.parametrize("axis", [1, 2])
     def test_grid_work_is_per_axis_coordinate(self, rule_rows, kind, axis):
-        # on an n x m grid, nothing is sorted or gathered per point, and each
-        # integral calls the field on at most n * m rows of nodes
-        built, sorts, gathered = rule_rows
+        # on an n x m grid, nothing is sorted, no rule has a row per point,
+        # and each integral calls the field on at most n * m rows of nodes
+        built, sorts, shapes = rule_rows
         n, m, nodes = 6, 7, DEFAULT_QUAD.range_nodes
         p, calls = random_poly2(np.random.default_rng(5)), []
 
@@ -520,8 +522,8 @@ class TestArrayEvaluation:
         along, other = np.linspace(0.1, 0.9, n), np.linspace(0.0, 1.0, m)
         t1, t2 = (along[:, None], other[None, :]) if axis == 1 else (other[:, None], along[None, :])
         partial_op(kind, axis, f, sr_alpha(), (t1, t2), UNIT_RECT)
-        assert sorts and max(sorts) <= n
-        assert all(math.prod(shape[:-1]) <= 5 * n for shape in gathered)
+        assert sorts == []
+        assert all(math.prod(shape[:-1]) <= 5 * n for shape in shapes)
         stencil = 5 if kind in (OpKind.D_RL_LEFT, OpKind.D_RL_RIGHT) else 1
         assert calls and max(calls) <= stencil * n * m * nodes
 
@@ -537,7 +539,22 @@ class TestArrayEvaluation:
         # central stencils at the 5 distinct t1, four points each
         partial_op(OpKind.D_RL_LEFT, 1, f, alpha, (t1, t2), UNIT_RECT)
         assert built == [20]
-        assert len(sorts) == 3  # one per rule
+        assert sorts == []
+
+    @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.D_RL_LEFT, OpKind.D_CAP_LEFT])
+    def test_paired_points_build_one_rule_row_per_point(self, rule_rows, kind):
+        # a grid passed as paired points repeats each t1 along a row: every
+        # point gets its own rule row, with the bits of the column-and-row call
+        built, sorts, _ = rule_rows
+        f = random_poly2(np.random.default_rng(3)).as_smooth_fn2()
+        t1, t2 = np.linspace(0.2, 0.8, 3)[:, None], np.linspace(0.0, 1.0, 4)[None, :]
+        grid = partial_op(kind, 1, f, sr_alpha(), (t1, t2), UNIT_RECT)
+        stencil = 4 if kind is OpKind.D_RL_LEFT else 1
+        assert built == [stencil * 3]
+        built.clear()
+        paired = partial_op(kind, 1, f, sr_alpha(), np.broadcast_arrays(t1, t2), UNIT_RECT)
+        assert built == [stencil * 12] and sorts == []
+        assert same_bits(paired, grid)
 
     @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.D_RL_RIGHT, OpKind.D_CAP_LEFT])
     def test_one_point_does_not_sort(self, rule_rows, kind):
@@ -548,11 +565,11 @@ class TestArrayEvaluation:
         assert built == [4 if kind is OpKind.D_RL_RIGHT else 1, 1]
         assert sorts == []
 
-    def test_distinct_points_sort_once(self, rule_rows):
-        # one sort finds no repeat, and the rule is built over the points
+    def test_distinct_points_are_not_sorted(self, rule_rows):
+        # the rule is built over the points as they come
         built, sorts, _ = rule_rows
         left_rl_integral(lambda tau: tau, sr_alpha(), 0.0, np.linspace(0.1, 0.9, 9))
-        assert built == [9] and len(sorts) == 1
+        assert built == [9] and sorts == []
 
 
 class TestNonFinite:

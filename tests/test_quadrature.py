@@ -150,20 +150,24 @@ class TestKernelRule:
                 assert batch[k, p] == one
             assert np.array_equal(rule.integrate(values[k]), batch[k])
 
-    def test_rows_gather_per_point(self):
+    def test_repeated_range_has_the_bits_of_one_row(self):
+        # construction is elementwise in the ranges: a range that repeats
+        # gets, in each of its rows, the bits of that range built once
         spec = left_spec(VariableOrder(lambda t, tau: 0.3 + 0.2 * t * tau, UNIT))
         rule = KernelRule(spec, 0.0, np.array([0.4, 0.8]))
-        gathered = KernelRule(spec, 0.0, np.array([0.4, 0.8]), DEFAULT_QUAD, np.array([1, 0, 1]))
-        assert np.array_equal(gathered.t_sing, [0.8, 0.4, 0.8])
-        h = lambda s: np.exp(s)
-        assert np.array_equal(gathered.integrate(h(gathered.tau)),
-                              rule.integrate(h(rule.tau))[[1, 0, 1]])
-        # the gathered rule names the node of its own row
-        values = np.ones(gathered.tau.shape)
+        repeated = KernelRule(spec, 0.0, np.array([0.8, 0.4, 0.8]))
+        bits = lambda x: np.ascontiguousarray(x).tobytes()
+        for r in (0, 2):
+            assert bits(repeated.tau[r]) == bits(rule.tau[1])
+            assert bits(repeated.weights[r]) == bits(rule.weights[1])
+        once = rule.integrate(np.exp(rule.tau))[[1, 0, 1]]
+        assert bits(repeated.integrate(np.exp(repeated.tau))) == bits(once)
+        # each row names its own node
+        values = np.ones(repeated.tau.shape)
         values[1, 2] = np.nan
         with pytest.raises(ValidityError, match=rf"at \(t, tau\) = \(0\.4, "
-                                                rf"{gathered.tau[1, 2]:.6g}\)"):
-            gathered.integrate(values)
+                                                rf"{repeated.tau[1, 2]:.6g}\)"):
+            repeated.integrate(values)
 
     def test_scalar_integrand_broadcasts(self):
         spec = left_spec(VariableOrder(lambda t, tau: 0.3 + 0.2 * tau, UNIT))

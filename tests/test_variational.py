@@ -353,6 +353,13 @@ class TestRitzSolve:
                                   "gradient_norm", "iterations", "nonconvex_flag"]
         assert d["el_residual_l2"] is None  # el_grid = 0 skips the residual
 
+    @pytest.mark.parametrize("el_grid", [-2, 2.5])
+    def test_el_grid_must_be_a_non_negative_integer(self, el_grid):
+        # rejected before any work, as el_residual rejects such a point_grid
+        with pytest.raises(DomainError, match="el_grid must be a non-negative integer"):
+            ritz_solve(Lagrangian.dirichlet(), BoundaryData.zero(UNIT_RECT),
+                       A04, A04, UNIT_RECT, n_modes=1, outer_grid=8, el_grid=el_grid)
+
     def test_nonzero_boundary_constant(self):
         # psi = 2: u = 2 is admissible; Dirichlet energy minimized at c = 0
         psi = BoundaryData.constant(2.0, UNIT_RECT)
