@@ -37,12 +37,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _int(value, name: str) -> int:
+    """``value`` as an int if it is an integral number, so 4 and 4.0 both
+    give 4; anything else is a parse error naming ``name``."""
+    if not isinstance(value, bool) and (isinstance(value, int) or
+                                        isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ExpressionError(f"{name} must be an integer, got {value!r}")
+
+
 def _build_quad(cfg_obj) -> QuadConfig:
     if not cfg_obj:
         return DEFAULT_QUAD
     return QuadConfig(
-        panels=int(cfg_obj.get("panels", DEFAULT_QUAD.panels)),
-        nodes_per_panel=int(cfg_obj.get("nodes_per_panel", DEFAULT_QUAD.nodes_per_panel)),
+        panels=_int(cfg_obj.get("panels", DEFAULT_QUAD.panels), "panels"),
+        nodes_per_panel=_int(cfg_obj.get("nodes_per_panel", DEFAULT_QUAD.nodes_per_panel),
+                             "nodes_per_panel"),
         grading=float(cfg_obj.get("grading", DEFAULT_QUAD.grading)),
     )
 
@@ -52,7 +62,7 @@ def _build_alpha(spec, interval: Interval, default_l: int = 2,
     """Order function from an expression string or {expr, l, bound_mode} object."""
     if isinstance(spec, dict):
         expr_src = spec["expr"]
-        l = int(spec.get("l", default_l))
+        l = _int(spec.get("l", default_l), "l")
         mode = BoundMode(spec.get("bound_mode", default_mode))
     else:
         expr_src = str(spec)
@@ -86,10 +96,10 @@ def _cmd_op(config, args) -> int:
     out = sys.stdout
 
     if "axis" in config:  # two-variable partial operator
-        axis = int(config["axis"])
+        axis = _int(config["axis"], "axis")
         rect = _build_rect(config["rect"])
         alpha = _build_alpha(config["alpha"], rect.axis(axis),
-                             int(config.get("l", 2)), config.get("bound_mode", "plain"))
+                             _int(config.get("l", 2), "l"), config.get("bound_mode", "plain"))
         f = _fn2_from_config(config, "f")
         points = np.array(config.get("points", []), dtype=float).reshape(-1, 2)
         values = partial_op(kind, axis, f, alpha, points.T, rect, quad, h)
@@ -101,7 +111,7 @@ def _cmd_op(config, args) -> int:
     a, b = float(config["a"]), float(config["b"])
     interval = Interval(a, b)
     alpha = _build_alpha(config["alpha"], interval,
-                         int(config.get("l", 2)), config.get("bound_mode", "plain"))
+                         _int(config.get("l", 2), "l"), config.get("bound_mode", "plain"))
     fexpr = compile_expression(config["f"], ("tau",))
     dexpr = config.get("f_d")
     f = SmoothFn1(fexpr,
@@ -113,7 +123,7 @@ def _cmd_op(config, args) -> int:
     elif isinstance(grid_obj, list):
         grid = [float(v) for v in grid_obj]
     else:
-        count = int(grid_obj.get("count", 0))
+        count = _int(grid_obj.get("count", 0), "count")
         grid = list(np.linspace(float(grid_obj.get("start", a)),
                                 float(grid_obj.get("stop", b)), count)) if count else []
 
@@ -131,13 +141,17 @@ def _cmd_verify(config, args) -> int:
     ladder = config.get("ladder", [[16, 16], [24, 24], [32, 32]])
     if not ladder:
         raise ExpressionError("ladder has no rungs; expected [[outer_grid, panels], ...]")
+    if not isinstance(ladder, list) or any(not isinstance(r, list) or len(r) != 2
+                                           for r in ladder):
+        raise ExpressionError(f"ladder {ladder!r} is not a list of [outer_grid, panels] rungs")
+    ladder = [(_int(g, "ladder outer_grid"), _int(p, "ladder panels")) for g, p in ladder]
     rect = _build_rect(config["rect"])
     quad = _build_quad(config.get("quad"))
     tolerance = args.tolerance if args.tolerance is not None \
         else float(config.get("tolerance", 1e-5 if identity == "ibp" else 1e-4))
     mode = "above_one_over_l" if identity == "ibp" else "below_one_minus"
-    alpha1 = _build_alpha(config["alpha1"], rect.t1, int(config.get("l1", 2)), mode)
-    alpha2 = _build_alpha(config["alpha2"], rect.t2, int(config.get("l2", 2)), mode)
+    alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)
+    alpha2 = _build_alpha(config["alpha2"], rect.t2, _int(config.get("l2", 2), "l2"), mode)
 
     f = _fn2_from_config(config, "f")
     g = _fn2_from_config(config, "g")
@@ -148,10 +162,10 @@ def _cmd_verify(config, args) -> int:
             for name in (("eta1", "eta2") if identity == "ibp" else ("eta",))]
     verify = verify_ibp if identity == "ibp" else verify_green
     for level, (outer_grid, panels) in enumerate(ladder):
-        cfg = QuadConfig(panels=int(panels), nodes_per_panel=quad.nodes_per_panel,
+        cfg = QuadConfig(panels=panels, nodes_per_panel=quad.nodes_per_panel,
                          grading=quad.grading)
-        rep = verify(f, g, *etas, alpha1, alpha2, rect, int(outer_grid), cfg, tolerance)
-        out.write(f"{level},{int(outer_grid)},{int(panels)},"
+        rep = verify(f, g, *etas, alpha1, alpha2, rect, outer_grid, cfg, tolerance)
+        out.write(f"{level},{outer_grid},{panels},"
                   f"{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.residual)}\n")
     return 0 if abs(rep.residual) <= tolerance else 4
 
@@ -195,19 +209,19 @@ def _cmd_solve(config, args) -> int:
     lagr = _build_lagrangian(config)
     psi = _build_psi(config, rect)
     mode = config.get("bound_mode", "below_one_minus")
-    alpha1 = _build_alpha(config["alpha1"], rect.t1, int(config.get("l1", 2)), mode)
-    alpha2 = _build_alpha(config["alpha2"], rect.t2, int(config.get("l2", 2)), mode)
+    alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)
+    alpha2 = _build_alpha(config["alpha2"], rect.t2, _int(config.get("l2", 2), "l2"), mode)
     opt_tol = args.tolerance if args.tolerance is not None \
         else float(config.get("opt_tol", 1e-7))
     coeffs0 = config.get("coeffs0")
     report = ritz_solve(
         lagr, psi, alpha1, alpha2, rect,
-        n_modes=int(config.get("n_modes", 4)),
-        outer_grid=int(config.get("outer_grid", 16)),
+        n_modes=_int(config.get("n_modes", 4), "n_modes"),
+        outer_grid=_int(config.get("outer_grid", 16), "outer_grid"),
         cfg=quad,
         opt_tol=opt_tol,
-        max_iter=int(config.get("max_iter", 500)),
-        el_grid=int(config.get("el_grid", 4)),
+        max_iter=_int(config.get("max_iter", 500), "max_iter"),
+        el_grid=_int(config.get("el_grid", 4), "el_grid"),
         coeffs0=None if coeffs0 is None else [float(c) for c in coeffs0],
     )
     sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")

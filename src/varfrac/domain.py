@@ -155,14 +155,26 @@ class VariableOrder:
         return cls(lambda t, tau: value + 0.0 * t + 0.0 * tau, domain, l, bound_mode)
 
 
-def _fd_derivative(fn, step: float):
-    """4th-order central finite difference of a scalar function; ``fn`` is
-    called once, on the four shifted copies of x stacked on a new leading
-    axis, which gives the values of four calls for an elementwise ``fn``."""
+# (offsets in steps, weights) of the 4th-order first-derivative stencils;
+# the one-sided stencil runs the way of its step's sign
+_CENTRAL = ((-2.0, -1.0, 1.0, 2.0), (1.0, -8.0, 8.0, -1.0))
+_ONE_SIDED = ((0.0, 1.0, 2.0, 3.0, 4.0), (-25.0, 48.0, -36.0, 16.0, -3.0))
+
+
+def _fd_derivative(fn, step, stencil=_CENTRAL):
+    """The library's one 4th-order finite difference of an elementwise fn,
+    from its values at the points ``x + offset * step`` of ``stencil``, step
+    a float or an array that broadcasts against x.  ``fn`` is called once,
+    on those copies of x stacked on a new leading axis; the weighted values
+    are summed left to right and divided by ``12 * step``."""
+    offsets, weights = stencil
 
     def dfn(x):
-        v = fn(np.stack([x - 2.0 * step, x - step, x + step, x + 2.0 * step]))
-        return (v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * step)
+        v = fn(np.stack([x + k * step for k in offsets]))
+        acc = weights[0] * v[0]
+        for k in range(1, len(weights)):
+            acc = acc + weights[k] * v[k]
+        return acc / (12.0 * step)
 
     return dfn
 
@@ -234,9 +246,6 @@ class SmoothFn2:
     @classmethod
     def wrap(cls, f) -> "SmoothFn2":
         return f if isinstance(f, SmoothFn2) else cls(f, check=False)
-
-    def partial(self, axis: int):
-        return self.d_t1 if axis == 1 else self.d_t2
 
     def section(self, axis: int, frozen) -> SmoothFn1:
         """One-variable section with the other coordinate frozen.

@@ -7,11 +7,12 @@ Conventions, applied uniformly through :class:`SingularKernelSpec`:
   alpha(tau, t) -- the argument transposition lives in the quadrature
   engine and nowhere else;
 * Riemann-Liouville derivatives differentiate the order-(1 - alpha)
-  integral in its free endpoint; the derivative is taken with a 5-point
-  central stencil whose step shrinks proportionally to the distance from
-  the weakly singular endpoint (the integral's derivatives blow up there,
-  and a fixed step would lose all accuracy), falling back to one-sided
-  4th-order stencils against the opposite, regular endpoint;
+  integral in its free endpoint with the 4th-order stencils of
+  :func:`~varfrac.domain._fd_derivative`.  The step shrinks in proportion
+  to the distance from the weakly singular endpoint (the integral's
+  derivatives blow up there, and a fixed step would lose all accuracy).
+  Where the central stencil would cross the regular endpoint, a one-sided
+  stencil points back to the singular one, which it never reaches;
 * Caputo derivatives apply the order-(1 - alpha) integral to df/dtau,
   using the analytic derivative when available and a finite-difference
   fallback otherwise;
@@ -47,7 +48,8 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import Rect2, SeparableFn2, SmoothFn1, SmoothFn2, VariableOrder, _sum_products
+from .domain import (_CENTRAL, _ONE_SIDED, Rect2, SeparableFn2, SmoothFn1, SmoothFn2,
+                     VariableOrder, _fd_derivative, _sum_products)
 from .errors import DomainError, ValidityError
 from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
                          WeightShift, _require_finite)
@@ -60,15 +62,6 @@ _DEFAULT_STEP_FRACTION = 1e-4
 _BATCH_NODES = 1 << 16
 # the frozen coordinates of a one-variable operator: one column, no value
 _NO_FROZEN = np.zeros((1, 1))
-
-# (offsets in steps, weights) of the 4th-order first-derivative stencils,
-# in the order they are tried; the weights are applied left to right and
-# the sum divided by 12 * step
-_STENCILS = (
-    ((-2.0, -1.0, 1.0, 2.0), (1.0, -8.0, 8.0, -1.0)),
-    ((0.0, 1.0, 2.0, 3.0, 4.0), (-25.0, 48.0, -36.0, 16.0, -3.0)),
-    ((0.0, -1.0, -2.0, -3.0, -4.0), (25.0, -48.0, 36.0, -16.0, 3.0)),
-)
 
 
 class OpKind(enum.Enum):
@@ -100,39 +93,37 @@ def _check(ok: np.ndarray, t: np.ndarray, message):
         raise DomainError(message(float(t.flat[np.argmin(ok)])))
 
 
-def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float,
-                        dist_to_singular: np.ndarray, out: np.ndarray):
-    """d/dt of a field F with algebraic endpoint behaviour, 4th order, into out.
+def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float, left: bool,
+                        out: np.ndarray):
+    """d/dt of a field F with algebraic behaviour at its singular endpoint,
+    lo for a left kernel and hi for a right one, 4th order, into out.
 
-    ``F(i, x)`` evaluates the field at the stencil points ``x[j, 0]`` of
+    ``F(i, x)`` evaluates the field at the stencil points ``x[k, j, 0]`` of
     the points ``t[i]``, i an index array, and returns the values, one per
-    point, column of ``out`` and stencil point.  Only the stencils that
-    some point needs are evaluated.
+    stencil point, point and column of ``out``.  The step is
+    ``min(h, 0.1 * distance to the singular endpoint)``.  The central
+    stencil serves the points where it fits in [lo, hi], the one-sided
+    stencil the others, each in one call of F.
     """
     if h <= 0.0:
         raise DomainError(f"stencil step must be positive, got {h}")
-    h_eff = np.minimum(h, _STEP_DISTANCE_FRACTION * dist_to_singular)
+    h_eff = np.minimum(h, _STEP_DISTANCE_FRACTION * (t - lo if left else hi - t))
     _check(h_eff > 0.0, t, lambda x: "evaluation point coincides with the singular endpoint")
+    # Every stencil point lies within 4 h_eff <= 0.4 * distance (up to the
+    # rounding of 0.1 and of the distance) of t, so the exact value of a
+    # point on the singular side lies at least 0.6 * distance inside the
+    # range, and rounding it to the nearest double cannot carry it past the
+    # singular endpoint, itself a double.  So only the regular endpoint can
+    # stop the central stencil, and there the one-sided stencil, pointed at
+    # the singular endpoint (a negative step for a left kernel, a positive
+    # one for a right kernel), always fits: for any t that passes the range
+    # check, t beyond the order's domain included.
     central = (t - 2.0 * h_eff >= lo) & (t + 2.0 * h_eff <= hi)
-    forward = ~central & (t + 4.0 * h_eff <= hi)
-    backward = ~central & ~forward & (t - 4.0 * h_eff >= lo)
-    fits = central | forward | backward
-    if not fits.all():
-        i = int(np.argmin(fits))
-        raise DomainError(
-            f"no 5-point stencil of step {h_eff[i]:.3e} fits inside [{lo}, {hi}] at t={t[i]}; "
-            f"reduce the step h"
-        )
-    for mask, (offsets, weights) in zip((central, forward, backward), _STENCILS):
+    for mask, stencil, sign in ((central, _CENTRAL, 1.0),
+                                (~central, _ONE_SIDED, -1.0 if left else 1.0)):
         i = mask.nonzero()[0]
-        if not i.size:
-            continue
-        step = h_eff[i]
-        v = F(i, t[i, None, None] + np.array(offsets) * step[:, None, None])
-        acc = weights[0] * v[..., 0]
-        for k in range(1, len(offsets)):
-            acc = acc + weights[k] * v[..., k]
-        out[i] = acc / (12.0 * step[:, None])
+        if i.size:
+            out[i] = _fd_derivative(lambda x: F(i, x), sign * h_eff[i, None], stencil)(t[i, None])
 
 
 def _rule(kind: OpKind, alpha: VariableOrder, a: float, b: float, x: np.ndarray,
@@ -162,12 +153,13 @@ def _batch(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: n
     """
     def integrals(i, x):
         """Kernel integrals, over [a, x] left and [x, b] right, of the
-        section (or its derivative) at the rows i, ``x[j, 0]`` holding the
-        singular endpoints of row i[j]: an array (i.size, m) + x.shape[2:]."""
+        section (or its derivative) at the rows i, ``x[..., j, 0]`` holding
+        the singular endpoints of row i[j], and any leading axes of x those
+        of a stencil: an array x.shape[:-1] + (m,)."""
         fz = frozen if frozen.shape[0] == 1 else frozen[i]
-        f = section(fz.reshape(fz.shape + (1,) * (x.ndim - 1)))
+        f = section(fz[..., None])
         fn = f.derivative_callable(alpha.domain, allow_fd)[0] if kind in _CAPUTO else f.value
-        shape = (i.size, frozen.shape[1]) + x.shape[2:]
+        shape = x.shape[:-1] + frozen.shape[1:]
         if not i.size:
             return np.empty(shape)
         rule = _rule(kind, alpha, a, b, x, cfg)
@@ -183,9 +175,9 @@ def _batch(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: n
     if kind in _RL:
         step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
         if kind in _LEFT:
-            _stencil_derivative(integrals, t, a, alpha.domain.b, step, t - a, out)
+            _stencil_derivative(integrals, t, a, alpha.domain.b, step, True, out)
         else:
-            _stencil_derivative(integrals, t, alpha.domain.a, b, step, b - t, out)
+            _stencil_derivative(integrals, t, alpha.domain.a, b, step, False, out)
             np.negative(out, out=out)
         return
     live = (t > a if kind in _LEFT else t < b).nonzero()[0]
@@ -195,14 +187,16 @@ def _batch(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: n
 
 def _fault(rule: KernelRule, values: np.ndarray, rank, where):
     """``(rank(i, j), message)`` of the point (i, j) first in ``rank`` order
-    among those whose integrand values ``values[i, j]`` are not all
-    finite; the message is the one the rule raises for that point alone,
-    with ``where(i, j)`` appended if given."""
-    i, j = np.nonzero(~np.isfinite(values).reshape(values.shape[:2] + (-1,)).all(axis=2))
+    among those whose integrand values ``values[..., i, j, :]``, at every
+    stencil point if a leading axis holds a stencil, are not all finite;
+    the message is the one the rule raises for that point alone, with
+    ``where(i, j)`` appended if given."""
+    i, j = np.nonzero(~np.isfinite(values).all(axis=(*range(values.ndim - 3), -1)))
     first = np.argmin(rank(i, j))
     i, j = i[first], j[first]
     try:
-        _require_finite(values[i, j], "integrand value", lambda idx: rule._node((i, j) + idx))
+        _require_finite(values[..., i, j, :], "integrand value",
+                        lambda idx: rule._node(idx[:-1] + (i, j) + idx[-1:]))
     except ValidityError as exc:
         return rank(i, j), str(exc) if where is None else f"{exc}, {where(i, j)}"
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import (Interval, Rect2, SeparableFn2, SmoothFn1, SmoothFn2, VariableOrder,
-                     _as_array_fn, _sum_products)
+                     _as_array_fn, _fd_derivative, _sum_products)
 from .errors import DomainError, ValidityError
 from .operators import OpKind, factor_op, partial_op
 from .optimize import MinimizeResult, minimize_bfgs
@@ -43,8 +43,8 @@ class Lagrangian:
 
     ``dL_du``, ``dL_dd1`` and ``dL_dd2`` differentiate L with respect to
     the value slot and the two Caputo-derivative slots.  On construction
-    each partial is compared against a central finite difference of L at
-    32 random points (1e-6 relative).  All callables must broadcast over
+    each partial is compared against a 4th-order central difference of L
+    at 32 random points (1e-6 relative).  All callables must broadcast over
     numpy arrays.
     """
 
@@ -69,12 +69,8 @@ class Lagrangian:
         slots = {"u": (2, self.dL_du), "d1": (3, self.dL_dd1), "d2": (4, self.dL_dd2)}
         args = [t1, t2, u, d1, d2]
         for name, (idx, partial) in slots.items():
-            h = 1e-5 * (1.0 + np.abs(args[idx]))
-            hi = [a.copy() for a in args]
-            lo = [a.copy() for a in args]
-            hi[idx] = args[idx] + h
-            lo[idx] = args[idx] - h
-            fd = (self.L(*hi) - self.L(*lo)) / (2.0 * h)
+            fd = _fd_derivative(lambda x: self.L(*args[:idx], x, *args[idx + 1:]),
+                                1e-5 * (1.0 + np.abs(args[idx])))(args[idx])
             p = partial(*args)
             err = np.max(np.abs(fd - p) / np.maximum(1.0, np.abs(p)))
             if not err <= 1e-6:

@@ -55,6 +55,19 @@ class TestOpCommand:
         assert code == 0
         assert out == "t,value\n"
 
+    @pytest.mark.parametrize("field", [{"quad": {"panels": 8.5}}, {"l": "3"},
+                                       {"grid": {"count": 2.5}}, {"axis": 1.5}])
+    def test_op_non_integer_field_exit_2(self, tmp_path, capsys, field):
+        cfg = {"kind": "I_left", "f": "tau", "alpha": "0.5", "a": 0.0, "b": 1.0,
+               "grid": [0.5]}
+        if "axis" in field:
+            cfg = {"kind": "I_left", "f": "t1*t2", "alpha": "0.5", "points": [[0.5, 0.5]],
+                   "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1}}
+        cfg.update(field)
+        code, out, err = run_cli(capsys, ["op", "--config", write_config(tmp_path, cfg)])
+        assert (code, out) == (2, "")
+        assert "must be an integer, got" in err
+
     def test_partial_operator_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "kind": "I_left", "axis": 2, "f": "t1*t2^2", "alpha": "(1+t)/4",
@@ -201,6 +214,31 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("parse error: ladder has no rungs")
 
+    @pytest.mark.parametrize("ladder", [[[8]], [[8, 8, 8]], [8, 8], [[8, 8.5]], [["8", 8]]])
+    def test_malformed_rung_exit_2_before_output(self, tmp_path, capsys, ladder):
+        cfg = write_config(tmp_path, {
+            "identity": "ibp", "f": "1", "g": "1", "eta1": "1", "eta2": "1",
+            "alpha1": "0.5", "alpha2": "0.5", "l1": 3, "l2": 3,
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+            "ladder": [[8, 8]] + ladder,
+        })
+        code, out, err = run_cli(capsys, ["verify", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ladder")
+
+    def test_integral_float_rung_accepted(self, tmp_path, capsys):
+        cfg = {
+            "identity": "ibp", "f": "1", "g": "1", "eta1": "1", "eta2": "1",
+            "alpha1": "0.5", "alpha2": "0.5", "l1": 3, "l2": 3.0,
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+            "ladder": [[8, 8]],
+        }
+        code, out, _ = run_cli(capsys, ["verify", "--config", write_config(tmp_path, cfg)])
+        cfg.update(ladder=[[8.0, 8.0]], l2=3)
+        assert run_cli(capsys, ["verify", "--config", write_config(tmp_path, cfg)]) == \
+            (code, out, "")
+
     def test_tolerance_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "identity": "ibp", "f": "1", "g": "1", "eta1": "1", "eta2": "1",
@@ -242,6 +280,29 @@ class TestSolveCommand:
         assert code == 0
         report = json.loads(out)
         assert abs(report["coeffs"][0]) <= 1e-6
+
+    @pytest.mark.parametrize("key, value", [("el_grid", 2.5), ("n_modes", 2.7),
+                                            ("n_modes", "four"), ("outer_grid", True),
+                                            ("max_iter", None)])
+    def test_non_integer_field_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {
+            "lagrangian": "quadratic", "psi": 0.0, "alpha1": "0.4", "alpha2": "0.4",
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+            "n_modes": 1, "outer_grid": 8, "el_grid": 0, key: value,
+        })
+        code, out, err = run_cli(capsys, ["solve", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"parse error: {key} must be an integer, got {value!r}")
+
+    def test_integral_float_fields_accepted(self, tmp_path, capsys):
+        cfg = {"lagrangian": "quadratic", "psi": 0.0, "alpha1": "0.4", "alpha2": "0.4",
+               "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+               "n_modes": 1, "outer_grid": 8, "el_grid": 2}
+        code, out, _ = run_cli(capsys, ["solve", "--config", write_config(tmp_path, cfg)])
+        cfg.update(n_modes=1.0, outer_grid=8.0, el_grid=2.0)
+        assert run_cli(capsys, ["solve", "--config", write_config(tmp_path, cfg)]) == \
+            (code, out, "")
 
     def test_malformed_lagrangian_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -3,12 +3,14 @@
 The tool reads the README's example configs and builds the benchmark's
 ``verify_cli`` and ``solve`` tasks through ``perfbench/workloads.py``, so a
 README edit or a change of that module's interface can break it silently.
-This runs the first call of each part of the corpus, and checks the two
-ways the tool prints a call: its sha256 line and its ``--raw`` block.
+This runs the first call of each part of the corpus and the RL ``op``
+calls, and checks the two ways the tool prints a call: its sha256 line
+and its ``--raw`` block.
 """
 
 import hashlib
 import importlib.util
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -32,6 +34,20 @@ def replay_tool(monkeypatch):
 
 def test_finds_the_readme_configs(replay_tool):
     assert [command for command, _ in replay_tool.readme_configs()] == ["op", "verify", "solve"]
+
+
+def test_stencil_ops_reach_the_regular_ends(replay_tool, tmp_path):
+    # each RL call reaches its regular end, where only the one-sided stencil fits
+    calls = itertools.takewhile(lambda call: not call[0].startswith("selftest/"),
+                                replay_tool.replay(tmp_path))
+    calls = [call for call in calls if call[0].startswith("op/")]
+    assert [name for name, *_ in calls] == [name for name, _ in replay_tool.STENCIL_OPS]
+    for (name, code, out, err), (_, config) in zip(calls, replay_tool.STENCIL_OPS):
+        rows = out.splitlines()[1:]
+        assert code == 0 and err == ""
+        assert len(rows) == len(config["grid"] if "grid" in config else config["points"])
+        end = 1.0 if config["kind"] == "D_rl_left" else 0.0
+        assert any(float(row.split(",")[-2]) == end for row in rows)
 
 
 def test_benchmark_tasks_replay(replay_tool, tmp_path):

@@ -47,6 +47,20 @@ class TestLagrangian:
                        lambda t1, t2, u, d1, d2: d1,  # missing factor 2
                        lambda t1, t2, u, d1, d2: 0 * d2)
 
+    @staticmethod
+    def curved(du_scale=1.0):
+        return Lagrangian(lambda t1, t2, u, d1, d2: np.exp(3 * u) + t1 * np.sin(d1) + d2 ** 4,
+                          lambda t1, t2, u, d1, d2: du_scale * 3 * np.exp(3 * u),
+                          lambda t1, t2, u, d1, d2: t1 * np.cos(d1),
+                          lambda t1, t2, u, d1, d2: 4 * d2 ** 3)
+
+    def test_strongly_curved_exact_partials_pass(self):
+        self.curved()
+
+    def test_partial_off_by_1e4_relative_rejected(self):
+        with pytest.raises(ValidityError, match="dL/du"):
+            self.curved(1.0 + 1e-4)
+
     def test_string_requires_positive_tension(self):
         with pytest.raises(DomainError):
             Lagrangian.string(lambda x: 1.0, 0.0)

@@ -18,6 +18,9 @@ two raw runs:
 The corpus:
 
 * the ``op``, ``verify`` and ``solve`` example configs of README.md;
+* ``op`` configs of the RL derivatives (:data:`STENCIL_OPS`) at points
+  where the central stencil fits and where it does not: a left one in the
+  middle, near and at b, a right one near and at a, and a partial one;
 * ``selftest --seed 0`` and ``selftest --seed 5``;
 * the ``verify_cli`` benchmark configs of seeds 301 and 302;
 * ``repr(ritz_solve(...).to_json_dict())`` of the ``solve`` benchmark
@@ -48,6 +51,20 @@ import workloads  # noqa: E402
 
 SEEDS = (301, 302)
 SELFTEST_SEEDS = (0, 5)
+# (name, config) of the RL derivative calls; at the default step (1e-4 of
+# the length) the central stencil does not fit within 2e-4 of the regular end
+STENCIL_OPS = (
+    ("op/D_rl_left", {"kind": "D_rl_left", "f": "exp(tau)*(1+tau^2)",
+                      "alpha": "0.3+0.2*t*tau+0.1*tau", "a": 0.0, "b": 1.0,
+                      "grid": [0.5, 0.99999, 1.0]}),
+    ("op/D_rl_right", {"kind": "D_rl_right", "f": "exp(tau)*(1+tau^2)",
+                       "alpha": "0.3+0.2*t*tau+0.1*tau", "a": 0.0, "b": 1.0,
+                       "grid": [0.5, 1e-5, 0.0]}),
+    ("op/D_rl_left/axis2", {"kind": "D_rl_left", "axis": 2, "f": "sin(1+t1*t2)+t1^2",
+                            "alpha": "0.4+0.1*t*tau",
+                            "rect": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
+                            "points": [[0.3, 0.5], [0.7, 0.99999], [1.0, 1.0]]}),
+)
 _SAME = lambda fn: fn  # the benchmark's tracing hook, here a no-op
 
 
@@ -113,6 +130,10 @@ def replay(workdir: Path):
         path = workdir / f"readme_{command}.json"
         path.write_text(json.dumps(config))
         yield _cli(f"readme/{command}", [command, "--config", str(path)])
+    for name, config in STENCIL_OPS:
+        path = workdir / "stencil_op.json"
+        path.write_text(json.dumps(config))
+        yield _cli(name, ["op", "--config", str(path)])
     for seed in SELFTEST_SEEDS:
         yield _cli(f"selftest/{seed}", ["selftest", "--seed", str(seed)])
     for seed in SEEDS:
