@@ -173,7 +173,7 @@ def _cmd_verify(config, args) -> int:
 _L_VARS = ("t1", "t2", "u", "d1", "d2")
 
 
-def _build_lagrangian(config) -> Lagrangian:
+def _build_lagrangian(config, rect: Rect2) -> Lagrangian:
     spec = config.get("lagrangian", "quadratic")
     if spec == "quadratic":
         return Lagrangian.quadratic()
@@ -186,6 +186,7 @@ def _build_lagrangian(config) -> Lagrangian:
             compile_expression(spec["dL_du"], _L_VARS),
             compile_expression(spec["dL_dd1"], _L_VARS),
             compile_expression(spec["dL_dd2"], _L_VARS),
+            rect=rect,
         )
     raise ExpressionError(f"unknown lagrangian preset {spec!r}")
 
@@ -206,7 +207,7 @@ def _build_psi(config, rect: Rect2) -> BoundaryData:
 def _cmd_solve(config, args) -> int:
     rect = _build_rect(config["rect"])
     quad = _build_quad(config.get("quad"))
-    lagr = _build_lagrangian(config)
+    lagr = _build_lagrangian(config, rect)
     psi = _build_psi(config, rect)
     mode = config.get("bound_mode", "below_one_minus")
     alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)

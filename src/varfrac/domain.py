@@ -309,9 +309,11 @@ class SeparableFn2(SmoothFn2):
     def __init__(self, terms, rect: Rect2):
         self.terms = [(SmoothFn1.wrap(g), SmoothFn1.wrap(h)) for g, h in terms]
         self.rect = rect
-        # per axis, the (value, derivative) callables of every term's factor
-        self._factors = [[(fn.value, fn.derivative_callable(rect.axis(i + 1))[0]) for fn in column]
-                         for i, column in enumerate(zip(*self.terms))]
+        # factors[axis - 1][order]: every term's factor along the axis, as a
+        # callable, for order 0, and its derivative for order 1
+        self.factors = [([fn.value for fn in column],
+                         [fn.derivative_callable(rect.axis(i + 1))[0] for fn in column])
+                        for i, column in enumerate(zip(*self.terms))]
         stack = self.stack
         super().__init__(lambda t1, t2: _sum_products(stack(1, 0, t1), stack(2, 0, t2)),
                          lambda t1, t2: _sum_products(stack(1, 1, t1), stack(2, 0, t2)),
@@ -321,4 +323,4 @@ class SeparableFn2(SmoothFn2):
     def stack(self, axis: int, order: int, s) -> np.ndarray:
         """The factors along ``axis`` at s, or their derivatives for ``order``
         1, one per term on a new leading axis."""
-        return np.stack([pair[order](s) for pair in self._factors[axis - 1]])
+        return np.stack([fn(s) for fn in self.factors[axis - 1][order]])

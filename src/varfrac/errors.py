@@ -24,10 +24,12 @@ class ConfigurationError(VarfracError):
 
 
 class ExpressionError(VarfracError):
-    """Parse or compile failure in the expression mini-language."""
+    """Parse or compile failure in the expression mini-language, or a config
+    value the CLI cannot parse; the message ends with the position in the
+    expression when one is given."""
 
-    def __init__(self, message: str, line: int = 1, col: int = 0):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if col is None else f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
 

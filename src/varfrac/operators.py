@@ -21,23 +21,26 @@ Conventions, applied uniformly through :class:`SingularKernelSpec`:
   genuinely undefined.
 
 Every operator takes a scalar or an array of points and returns a float or
-an array of that shape.  The kernel integrals of a call go in bounded
-batches to :class:`KernelRule`.  The kernel depends on the singular
-endpoint alone, never on a frozen coordinate, so a partial operator keeps
-the axis coordinates and the frozen ones apart: the points are laid out
-as one row per axis coordinate and one column per frozen point that it
-meets (a grid with t1 a column and t2 a row is n rows of m columns), each
-rule has one row per row of points, and the field is called once on those
-rows against the frozen coordinates, broadcasting to rows x columns x
-nodes.  So a grid passed as a column and a row costs one rule row per
-axis coordinate, while paired points (two arrays of one shape) cost one
-per point, a repeated axis coordinate included.  A partial integral or
-Caputo derivative of a :class:`SeparableFn2` goes further
-(:func:`factor_op`): one rule per batch of axis coordinates integrates
-every factor along the axis at once, and the factors of the other axis
-are multiplied in at the frozen coordinates.  Rule construction is
-elementwise and each row is reduced on its own, so every value is
-bit-identical to the one-point call.  All operations are pure.
+an array of that shape.  One loop, :func:`_apply`, builds and integrates
+every kernel rule: a call is a set of points along the axis, each with
+one or more integrands, whose values go to :class:`KernelRule` in the
+points-first layout (points, integrands, nodes), in batches bounded by
+points x integrands x nodes.  A one-variable operator has one integrand
+per point.  The kernel depends on the singular endpoint alone, never on a
+frozen coordinate, so a partial operator keeps the axis coordinates and
+the frozen ones apart: its points are the axis coordinates and its
+integrands the sections at the frozen points each one meets (a grid with
+t1 a column and t2 a row is n points of m integrands), each rule has one
+row per point, and the field is called once on those rows against the
+frozen coordinates.  So a grid passed as a column and a row costs one
+rule row per axis coordinate, while paired points (two arrays of one
+shape) cost one per point, a repeated axis coordinate included.  A
+partial integral or Caputo derivative of a :class:`SeparableFn2` goes
+further (:func:`factor_op`): its integrands are the field's factors along
+the axis, and the factors of the other axis are multiplied in at the
+frozen coordinates.  Rule construction is elementwise and each (point,
+integrand) row is reduced on its own, so every value is bit-identical to
+the one-point call, whatever batch it falls in.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import (_CENTRAL, _ONE_SIDED, Rect2, SeparableFn2, SmoothFn1, SmoothFn2,
-                     VariableOrder, _fd_derivative, _sum_products)
+from .domain import (_CENTRAL, _ONE_SIDED, Interval, Rect2, SeparableFn2, SmoothFn1,
+                     SmoothFn2, VariableOrder, _fd_derivative, _sum_products)
 from .errors import DomainError, ValidityError
 from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
                          WeightShift, _require_finite)
@@ -57,11 +60,10 @@ from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKer
 # step = min(h, _STEP_DISTANCE_FRACTION * distance-to-singular-endpoint)
 _STEP_DISTANCE_FRACTION = 0.1
 _DEFAULT_STEP_FRACTION = 1e-4
-# bound on the kernel nodes per batch of evaluation points, so memory stays
-# flat for any number of points (a stencil multiplies it by at most 5)
+# bound on the integrand values (points x integrands x kernel nodes) per
+# batch, so memory stays flat for any number of points and integrands (a
+# stencil multiplies it by at most 5)
 _BATCH_NODES = 1 << 16
-# the frozen coordinates of a one-variable operator: one column, no value
-_NO_FROZEN = np.zeros((1, 1))
 
 
 class OpKind(enum.Enum):
@@ -126,65 +128,6 @@ def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float, left: 
             out[i] = _fd_derivative(lambda x: F(i, x), sign * h_eff[i, None], stencil)(t[i, None])
 
 
-def _rule(kind: OpKind, alpha: VariableOrder, a: float, b: float, x: np.ndarray,
-          cfg: QuadConfig) -> KernelRule:
-    """The kernel rule of ``kind`` at the singular endpoints x, over [a, x]
-    for a left kernel and [x, b] for a right one."""
-    left = kind in _LEFT
-    spec = SingularKernelSpec(alpha, Side.LEFT if left else Side.RIGHT,
-                              WeightShift.INTEGRAL if kind in (OpKind.I_LEFT, OpKind.I_RIGHT)
-                              else WeightShift.DERIVATIVE)
-    return KernelRule(spec, *((a, x) if left else (x, b)), cfg)
-
-
-def _batch(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: np.ndarray,
-           frozen: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool,
-           rank, where, faults: list, out: np.ndarray):
-    """The operator ``kind`` at the (t.size, m) points of one batch, into
-    out, which holds zeros: row i holds the axis coordinate t[i] and
-    column j the frozen coordinates ``frozen[i, j]``, or ``frozen[0, j]``
-    when one row serves all.
-
-    Each kernel rule has one row per row of points, and the field is
-    called once on those rows against the frozen coordinates: rows x
-    columns x nodes.  A non-finite integrand value appends :func:`_fault`
-    of the first point in ``rank(row, column)`` order to ``faults``, and
-    the batch goes on.
-    """
-    def integrals(i, x):
-        """Kernel integrals, over [a, x] left and [x, b] right, of the
-        section (or its derivative) at the rows i, ``x[..., j, 0]`` holding
-        the singular endpoints of row i[j], and any leading axes of x those
-        of a stencil: an array x.shape[:-1] + (m,)."""
-        fz = frozen if frozen.shape[0] == 1 else frozen[i]
-        f = section(fz[..., None])
-        fn = f.derivative_callable(alpha.domain, allow_fd)[0] if kind in _CAPUTO else f.value
-        shape = x.shape[:-1] + frozen.shape[1:]
-        if not i.size:
-            return np.empty(shape)
-        rule = _rule(kind, alpha, a, b, x, cfg)
-        values = fn(rule.tau)
-        try:
-            return rule.integrate(values)
-        except ValidityError:
-            faults.append(_fault(rule, np.broadcast_to(values, shape + rule.tau.shape[-1:]),
-                                 lambda r, j: rank(i[r], j),
-                                 where and (lambda r, j: where(fz[r if len(fz) > 1 else 0, j]))))
-            return np.zeros(shape)
-
-    if kind in _RL:
-        step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
-        if kind in _LEFT:
-            _stencil_derivative(integrals, t, a, alpha.domain.b, step, True, out)
-        else:
-            _stencil_derivative(integrals, t, alpha.domain.a, b, step, False, out)
-            np.negative(out, out=out)
-        return
-    live = (t > a if kind in _LEFT else t < b).nonzero()[0]
-    values = integrals(live, t[live, None])
-    out[live] = -values if kind is OpKind.D_CAP_RIGHT else values
-
-
 def _fault(rule: KernelRule, values: np.ndarray, rank, where):
     """``(rank(i, j), message)`` of the point (i, j) first in ``rank`` order
     among those whose integrand values ``values[..., i, j, :]``, at every
@@ -201,41 +144,81 @@ def _fault(rule: KernelRule, values: np.ndarray, rank, where):
         return rank(i, j), str(exc) if where is None else f"{exc}, {where(i, j)}"
 
 
-def _apply(kind: OpKind, section, alpha: VariableOrder, a: float, b: float, t: np.ndarray,
-           frozen: np.ndarray, cfg: QuadConfig, h: Optional[float], allow_fd: bool, order,
+def _apply(kind: OpKind, integrand, lead: int, alpha: VariableOrder, a: float, b: float,
+           t: np.ndarray, cfg: QuadConfig, h: Optional[float] = None, rank=None,
            where=None) -> np.ndarray:
-    """The operator ``kind`` at the points of a (t.size, m) layout: row i
-    holds the axis coordinate t[i] and column j the frozen coordinates
-    ``frozen[i, j]``, or ``frozen[0, j]`` when one row serves all.  Left
-    kernels integrate from a, right to b; ``section(fz)`` is the
-    one-variable integrand (a SmoothFn1) at frozen coordinates fz that
-    broadcast against its argument.
+    """The operator ``kind`` of ``lead`` integrands at the points t: a
+    (t.size, lead) table.  Left kernels integrate from a, right ones to b.
 
-    Batches of at most _BATCH_NODES kernel nodes are cut along the rows,
-    and along the columns where one row alone holds more (:func:`_batch`).
+    This is the one loop that builds and integrates kernel rules.
+    ``integrand(tau, i, c)`` returns the values of the integrands c, a
+    slice, for the points t[i] at their kernel nodes tau, in the
+    points-first layout ``(..., points, integrands, N+1)``; tau has shape
+    ``(..., points, 1, N+1)``, any leading axes holding an RL stencil.  The
+    integrand of a Caputo kind is the field's derivative; the sign of the
+    right derivatives is applied here.  Batches of at most _BATCH_NODES
+    values (points x integrands x nodes) are cut along the points, and
+    along the integrands where one point's alone exceed that.
+
     Errors name the first offending point, as a one-point call would: a
-    range error the first t, and a non-finite integrand value, over all
-    batches, the first point in the caller's order ``order()``, each
-    point's index there as a (t.size, m) array; ``where(v)``, if given,
-    adds the frozen value v to that message.
+    range error the first t.  With ``rank``, a non-finite integrand value
+    names, over all batches, the first (point, integrand) in ``rank(i, j)``
+    order, with ``where(i, j)`` appended if given; without it the rule's
+    own ValidityError propagates.
     """
     left, rl = kind in _LEFT, kind in _RL
     # an empty range is allowed, and gives 0, everywhere but under an RL derivative
     _check((t > a if rl else t >= a) if left else (t < b if rl else t <= b), t,
            lambda x: _RANGE_ERRORS[kind].format(t=x, a=a, b=b))
-    m, per_batch = frozen.shape[1], max(1, _BATCH_NODES // cfg.range_nodes)
-    col_step = min(m, per_batch)
+    spec = SingularKernelSpec(alpha, Side.LEFT if left else Side.RIGHT,
+                              WeightShift.INTEGRAL if kind in (OpKind.I_LEFT, OpKind.I_RIGHT)
+                              else WeightShift.DERIVATIVE)
+    per_batch = max(1, _BATCH_NODES // cfg.range_nodes)
+    col_step = min(lead, per_batch)
     row_step = max(1, per_batch // col_step)
-    out, faults, shared = np.zeros((t.size, m)), [], len(frozen) == 1
+    out, faults = np.zeros((t.size, lead)), []
+
+    def integrals(i, x, c):
+        """Kernel integrals of the integrands c for the points t[i], an
+        array x.shape[:-1] + (integrands,): ``x[..., j, 0]`` holds the
+        singular end of point i[j], any leading axes those of a stencil."""
+        rule = KernelRule(spec, *((a, x) if left else (x, b)), cfg)
+        values = integrand(rule.tau, i, c)
+        try:
+            return rule.integrate(values)
+        except ValidityError:
+            if rank is None:
+                raise
+            values = np.broadcast_to(values, np.broadcast(values, rule.tau).shape)
+            faults.append(_fault(rule, values, lambda p, j: rank(i[p], c.start + j),
+                                 where and (lambda p, j: where(i[p], c.start + j))))
+            return np.zeros(values.shape[:-1])
+
+    step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
+    lo, hi = (a, alpha.domain.b) if left else (alpha.domain.a, b)
     for r0 in range(0, t.size, row_step):
-        for c0 in range(0, m, col_step):
-            r, c = slice(r0, r0 + row_step), slice(c0, c0 + col_step)
-            _batch(kind, section, alpha, a, b, t[r], frozen[slice(None) if shared else r, c],
-                   cfg, h, allow_fd, lambda i, j: order()[r0 + i, c0 + j], where, faults,
-                   out[r, c])
+        r = slice(r0, r0 + row_step)
+        for c0 in range(0, lead, col_step):
+            c = slice(c0, c0 + col_step)
+            batch = out[r, c]
+            if rl:
+                _stencil_derivative(lambda i, x: integrals(r0 + i, x, c), t[r], lo, hi, step,
+                                    left, batch)
+                if not left:
+                    np.negative(batch, out=batch)
+            else:
+                live = (t[r] > a if left else t[r] < b).nonzero()[0]
+                if live.size:  # a batch with no live point builds no rule
+                    values = integrals(r0 + live, t[r][live, None], c)
+                    batch[live] = -values if kind is OpKind.D_CAP_RIGHT else values
     if faults:
         raise ValidityError(min(faults)[1])
     return out
+
+
+def _integrand_of(kind: OpKind, f: SmoothFn1, interval: Interval, allow_fd: bool):
+    """The one-variable integrand of ``kind``: f, or its derivative for a Caputo kind."""
+    return f.derivative_callable(interval, allow_fd)[0] if kind in _CAPUTO else f.value
 
 
 def _grid(along: np.ndarray, frozen: np.ndarray):
@@ -245,9 +228,10 @@ def _grid(along: np.ndarray, frozen: np.ndarray):
     There is one row per element of ``along``, in its order, and one
     column per point of the broadcast axes along which ``along`` is
     constant; ``frozen`` keeps one row for all rows unless it varies along
-    the axes of ``along`` too.  Returns the rows' coordinates, the frozen
-    coordinates, the ``order`` function of :func:`_apply`, and the map of
-    (rows, columns) values back to the broadcast shape.
+    the axes of ``along`` too.  Returns the rows' coordinates, the points
+    of :func:`_apply`; the frozen coordinates, one integrand per column;
+    the ``rank`` of :func:`_apply`, each point's index in the broadcast;
+    and the map of (rows, columns) values back to the broadcast shape.
     """
     shape = np.broadcast(along, frozen).shape
     lead = len(shape) - along.ndim
@@ -256,9 +240,9 @@ def _grid(along: np.ndarray, frozen: np.ndarray):
     layout, m = [shape[k] for k in perm], math.prod(shape[k] for k in cols)
     fz = frozen.reshape((1,) * (len(shape) - frozen.ndim) + frozen.shape).transpose(perm)
     back = sorted(range(len(perm)), key=perm.__getitem__)
+    index = lambda: np.arange(math.prod(shape)).reshape(shape).transpose(perm).reshape(-1, m)
     return (along.ravel(), (np.broadcast_to(fz, layout) if fz.size > m else fz).reshape(-1, m),
-            lambda: np.arange(math.prod(shape)).reshape(shape).transpose(perm).reshape(-1, m),
-            lambda out: out.reshape(layout).transpose(back))
+            lambda i, j: index()[i, j], lambda out: out.reshape(layout).transpose(back))
 
 
 def interval_op(kind: OpKind, f, alpha: VariableOrder, a: float, b: float, t,
@@ -269,10 +253,10 @@ def interval_op(kind: OpKind, f, alpha: VariableOrder, a: float, b: float, t,
     Left operators integrate from a, right operators to b; the arguments
     are those of the matching named operator.
     """
-    f = SmoothFn1.wrap(f)
-    t = np.asarray(t, dtype=float)
-    values = _apply(OpKind(kind), lambda frozen: f, alpha, a, b, t.ravel(), _NO_FROZEN, cfg, h,
-                    allow_fd_derivative, lambda: np.arange(t.size)[:, None])
+    kind, t = OpKind(kind), np.asarray(t, dtype=float)
+    fn = _integrand_of(kind, SmoothFn1.wrap(f), alpha.domain, allow_fd_derivative)
+    values = _apply(kind, lambda tau, i, c: fn(tau), 1, alpha, a, b, t.ravel(), cfg, h,
+                    lambda i, j: i)
     return float(values[0, 0]) if t.ndim == 0 else values.reshape(t.shape)
 
 
@@ -342,9 +326,13 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
     For a :class:`SeparableFn2` and an integral or Caputo kind, the
     operator acts on the factors along the axis instead
     (:func:`factor_op`), once per element of the axis coordinates, times
-    the other factors at the frozen coordinates.  Both coordinates of
-    every point must lie in the closed rectangle, else DomainError names
-    the first that leaves.
+    the other factors at the frozen coordinates.  Either way the work goes
+    through :func:`_apply`, whose batches count the sections or factors
+    integrated at each point.  Both coordinates of every point must lie in
+    the closed rectangle, else DomainError names the first that leaves.
+    Without ``allow_fd_derivative``, a Caputo kind raises
+    ConfigurationError when the field, or a factor of it along the axis,
+    has no analytic derivative.
     """
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
@@ -357,6 +345,10 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
         lo, hi = rect.axis(i).a, rect.axis(i).b
         _check((x >= lo) & (x <= hi), x,
                lambda v: f"coordinate {v} leaves [{lo}, {hi}] along axis {i}")
+    if kind in _CAPUTO and not allow_fd_derivative:  # raise before any work, as interval_op
+        for g in ([term[axis - 1] for term in f2.terms] if isinstance(f2, SeparableFn2)
+                  else [f2.section(axis, frozen)]):
+            g.derivative_callable(interval, False)
     shape = np.broadcast(along, frozen).shape
     if not all(shape):
         return np.zeros(shape)
@@ -367,10 +359,14 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
         table = table.reshape((-1,) + along.shape)
         values = _sum_products(table, f2.stack(3 - axis, 0, frozen)).reshape(shape)
         return float(values) if values.ndim == 0 else values
-    t, fz, order, back = _grid(along, frozen)
-    values = back(_apply(kind, lambda fz: f2.section(axis, fz), alpha, interval.a, interval.b,
-                         t, fz, cfg, h, allow_fd_derivative, order,
-                         lambda v: f"t{3 - axis} = {v:.6g}"))
+    t, fz, rank, back = _grid(along, frozen)
+
+    def integrand(tau, i, c):
+        section = f2.section(axis, (fz[:, c] if len(fz) == 1 else fz[i, c])[..., None])
+        return _integrand_of(kind, section, alpha.domain, allow_fd_derivative)(tau)
+
+    values = back(_apply(kind, integrand, fz.shape[1], alpha, interval.a, interval.b, t, cfg, h,
+                         rank, lambda i, j: f"t{3 - axis} = {fz[min(i, len(fz) - 1), j]:.6g}"))
     return float(values) if values.ndim == 0 else np.ascontiguousarray(values)
 
 
@@ -379,17 +375,14 @@ def factor_op(kind: OpKind, axis: int, f: SeparableFn2, alpha: VariableOrder, t,
     """The integral or Caputo kind ``kind`` along ``axis`` of each factor of
     ``f`` on that axis, at the 1-D points t: an array (terms, t.size).
 
-    One kernel rule per batch of points integrates all factors at once.
-    The points must lie in the axis interval, as :func:`partial_op`
-    checks; called on its axis coordinates, this is its 1-D work on a
-    separable field, whose value at (t, frozen) is the sum over terms of
-    this table times the other factor at frozen.
+    The factors are the integrands of :func:`_apply`, so a batch holds
+    points x terms x nodes values.  The points must lie in the axis
+    interval, as :func:`partial_op` checks; called on its axis
+    coordinates, this is its 1-D work on a separable field, whose value at
+    (t, frozen) is the sum over terms of this table times the other factor
+    at frozen.
     """
-    kind, interval, t = OpKind(kind), rect.axis(axis), np.asarray(t, dtype=float)
-    live = np.flatnonzero(t > interval.a if kind in _LEFT else t < interval.b)
-    out, step = np.zeros((len(f.terms), t.size)), max(1, _BATCH_NODES // cfg.range_nodes)
-    for i in range(0, live.size, step):
-        rule = _rule(kind, alpha, interval.a, interval.b, t[live[i:i + step]], cfg)
-        values = rule.integrate(f.stack(axis, kind in _CAPUTO, rule.tau))
-        out[:, live[i:i + step]] = -values if kind is OpKind.D_CAP_RIGHT else values
-    return out
+    kind, interval = OpKind(kind), rect.axis(axis)
+    factors = f.factors[axis - 1][kind in _CAPUTO]
+    return _apply(kind, lambda tau, i, c: np.concatenate([g(tau) for g in factors[c]], axis=-2),
+                  len(factors), alpha, interval.a, interval.b, np.asarray(t, dtype=float), cfg).T

@@ -434,28 +434,32 @@ def _ritz_tables(expansion: RitzExpansion, alpha1: VariableOrder, alpha2: Variab
 
     The boundary lift and every mode are sums of products of one-variable
     factors, and a partial Caputo derivative acts on the factors along its
-    axis only.  So the terms of all of them go into one SeparableFn2, whose
-    factors are tabulated at each axis's outer nodes with one kernel rule
-    per axis (:func:`factor_op`), and each table column is a sum of outer
-    products of those factor tables.  After that every J(c) evaluation is
-    a handful of dense matrix products.
+    axis only.  So the lift's terms and one term ``sin(j pi x1) *
+    sin(j pi x2)`` per distinct mode index j go into one SeparableFn2,
+    whose factors are tabulated at each axis's outer nodes with one kernel
+    rule per axis (:func:`factor_op`): n sine factors per axis for n**2
+    modes.  Each table column is a sum of outer products of those factor
+    tables.  After that every J(c) evaluation is a handful of dense matrix
+    products.
     """
     t1n, w1 = clustered_gl(rect.t1.a, rect.t1.b, outer_grid)
     t2n, w2 = clustered_gl(rect.t2.a, rect.t2.b, outer_grid)
     T1 = np.repeat(t1n, outer_grid)
     T2 = np.tile(t2n, outer_grid)
     W = np.outer(w1, w2).ravel()
-    lift = expansion.boundary_lift
-    basis = SeparableFn2(lift.terms + [term for b in range(len(expansion.modes))
-                                       for term in expansion.mode_fn(b).terms], rect)
+    lift, sines = expansion.boundary_lift, sorted({j for mode in expansion.modes for j in mode})
+    basis = SeparableFn2(lift.terms + [(_sines([(j, 1.0)], rect.t1), _sines([(j, 1.0)], rect.t2))
+                                       for j in sines], rect)
     G1, G2 = basis.stack(1, 0, t1n), basis.stack(2, 0, t2n)
     C1 = factor_op(OpKind.D_CAP_LEFT, 1, basis, alpha1, t1n, rect, cfg)
     C2 = factor_op(OpKind.D_CAP_LEFT, 2, basis, alpha2, t2n, rect, cfg)
 
-    # u, CapD1 u and CapD2 u of a term are the outer products of these pairs
+    # u, CapD1 u and CapD2 u of a term are the outer products of these pairs;
+    # mode (k, m) pairs the sine row of k on axis 1 with that of m on axis 2
     pairs, r = ((G1, G2), (C1, G2), (G1, C2)), len(lift.terms)
     U0, D10, D20 = (_sum_products(g1[:r, :, None], g2[:r, None, :]).ravel() for g1, g2 in pairs)
-    PHI, D1PHI, D2PHI = ((g1[r:, :, None] * g2[r:, None, :]).reshape(len(g1) - r, -1).T
+    k, m = r + np.searchsorted(sines, expansion.modes).T
+    PHI, D1PHI, D2PHI = ((g1[k, :, None] * g2[m, None, :]).reshape(len(k), -1).T
                          for g1, g2 in pairs)
     return T1, T2, W, U0, D10, D20, PHI, D1PHI, D2PHI
 

@@ -281,6 +281,34 @@ class TestSolveCommand:
         report = json.loads(out)
         assert abs(report["coeffs"][0]) <= 1e-6
 
+    def test_custom_lagrangian_checked_on_the_config_rect(self, tmp_path, capsys):
+        # ln(t1 - 1.5) is finite on [2, 3] x [0, 1] but not on the unit square
+        cfg = write_config(tmp_path, {
+            "lagrangian": {"L": "d1^2 + d2^2 + u^2*ln(t1 - 1.5)",
+                           "dL_du": "2*u*ln(t1 - 1.5)", "dL_dd1": "2*d1", "dL_dd2": "2*d2"},
+            "psi": 0.0, "alpha1": "0.4", "alpha2": "0.4", "l1": 3, "l2": 3,
+            "rect": {"a1": 2, "b1": 3, "a2": 0, "b2": 1},
+            "n_modes": 1, "outer_grid": 8, "el_grid": 0,
+        })
+        code, out, err = run_cli(capsys, ["solve", "--config", cfg])
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["coeffs"][0]) <= 1e-6
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("solve", "el_grid", 2.5, "el_grid must be an integer, got 2.5"),
+        ("verify", "identity", "stokes", "unknown identity 'stokes'; expected 'ibp' or 'green'"),
+        ("solve", "lagrangian", "cubic", "unknown lagrangian preset 'cubic'"),
+    ])
+    def test_config_value_error_has_no_position(self, tmp_path, capsys, command, key, value,
+                                                message):
+        # a config value is not an expression: no line or column to name
+        cfg = write_config(tmp_path, {
+            "lagrangian": "quadratic", "psi": 0.0, "alpha1": "0.4", "alpha2": "0.4",
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1}, "identity": "ibp",
+            "n_modes": 1, "outer_grid": 8, "el_grid": 0, key: value,
+        })
+        assert run_cli(capsys, [command, "--config", cfg]) == (2, "", f"parse error: {message}\n")
+
     @pytest.mark.parametrize("key, value", [("el_grid", 2.5), ("n_modes", 2.7),
                                             ("n_modes", "four"), ("outer_grid", True),
                                             ("max_iter", None)])

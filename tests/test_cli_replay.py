@@ -4,13 +4,15 @@ The tool reads the README's example configs and builds the benchmark's
 ``verify_cli`` and ``solve`` tasks through ``perfbench/workloads.py``, so a
 README edit or a change of that module's interface can break it silently.
 This runs the first call of each part of the corpus and the RL ``op``
-calls, and checks the two ways the tool prints a call: its sha256 line
-and its ``--raw`` block.
+and lifted ``solve`` calls, and checks the two ways the tool prints a
+call: its sha256 line and its ``--raw`` block.
 """
 
 import hashlib
 import importlib.util
 import itertools
+import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -48,6 +50,22 @@ def test_stencil_ops_reach_the_regular_ends(replay_tool, tmp_path):
         assert len(rows) == len(config["grid"] if "grid" in config else config["points"])
         end = 1.0 if config["kind"] == "D_rl_left" else 0.0
         assert any(float(row.split(",")[-2]) == end for row in rows)
+
+
+def test_solve_configs_have_a_lift_and_a_residual(replay_tool, tmp_path):
+    # the lift's terms and three or more sine modes per axis in one table,
+    # and the stationarity residual of the solution on a grid
+    calls = itertools.takewhile(lambda call: not call[0].startswith("selftest/"),
+                                replay_tool.replay(tmp_path))
+    calls = [call for call in calls if call[0].startswith("solve/")]
+    assert [name for name, *_ in calls] == [name for name, _ in replay_tool.SOLVE_CONFIGS]
+    for (name, code, out, err), (_, config) in zip(calls, replay_tool.SOLVE_CONFIGS):
+        assert isinstance(config["psi"], dict)
+        assert config["n_modes"] >= 3 and config["el_grid"] >= 2
+        report = json.loads(out)
+        assert code == 0 and err == ""
+        assert len(report["coeffs"]) == config["n_modes"] ** 2
+        assert math.isfinite(report["el_residual_l2"])
 
 
 def test_benchmark_tasks_replay(replay_tool, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -348,6 +349,22 @@ class TestPartialOps:
         # both closed ends are inside
         assert partial_op(OpKind.I_LEFT, axis, f, sr_alpha(), at(0.5, 1.0), UNIT_RECT) > 0.0
 
+    @pytest.mark.parametrize("kind", [OpKind.D_CAP_LEFT, OpKind.D_CAP_RIGHT])
+    def test_missing_factor_derivative_with_fallback_disabled(self, kind):
+        # without the fallback, a factor along the axis with no analytic
+        # derivative raises, as a field with no partial along it does
+        alpha, g = VariableOrder.constant(0.4, UNIT), lambda s: s ** 2
+        h = SmoothFn1(lambda s: 1.0 + s, lambda s: 1.0 + 0.0 * s, check=False)
+        sep = SeparableFn2([(g, h)], UNIT_RECT)
+        plain = SmoothFn2(lambda t1, t2: t1 ** 2 * (1.0 + t2), check=False)
+        for f in (sep, plain):
+            with pytest.raises(ConfigurationError):
+                partial_op(kind, 1, f, alpha, (0.5, 0.5), UNIT_RECT, allow_fd_derivative=False)
+        # the other axis's factor needs none, and the value does not move
+        assert partial_op(kind, 2, sep, alpha, (0.5, 0.5), UNIT_RECT,
+                          allow_fd_derivative=False) == \
+            partial_op(kind, 2, sep, alpha, (0.5, 0.5), UNIT_RECT)
+
 
 ONE_VARIABLE = {
     OpKind.I_LEFT: lambda f, alpha, t: left_rl_integral(f, alpha, 0.0, t),
@@ -570,6 +587,69 @@ class TestArrayEvaluation:
         built, sorts, _ = rule_rows
         left_rl_integral(lambda tau: tau, sr_alpha(), 0.0, np.linspace(0.1, 0.9, 9))
         assert built == [9] and sorts == []
+
+
+class TestOneLoop:
+    """Every kernel rule of the operators is built and integrated in _apply."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The code calling every KernelRule of the operators, and the values
+        per stencil point (points x integrands x nodes) of every integrate."""
+        callers, sizes = [], []
+
+        class SpyRule(KernelRule):
+            def __init__(self, *args):
+                super().__init__(*args)
+                callers.append(sys._getframe(1).f_code)
+
+            def integrate(self, values):
+                sizes.append(math.prod(np.broadcast(values, self.tau).shape[-3:]))
+                return super().integrate(values)
+
+        monkeypatch.setattr(operators, "KernelRule", SpyRule)
+        return callers, sizes
+
+    @pytest.mark.parametrize("kind", list(OpKind))
+    def test_every_rule_is_built_in_apply(self, batches, kind):
+        callers, _ = batches
+        rng = np.random.default_rng(2)
+        g, h = random_poly1(rng).as_smooth_fn1(), random_poly1(rng).as_smooth_fn1()
+        alpha, t = sr_alpha(), np.array(grid_for(kind))
+        ONE_VARIABLE[kind](lambda tau: 1.0 + tau, alpha, t)
+        grid = (t[:, None], np.linspace(0.0, 1.0, 3)[None, :])
+        for f in (random_poly2(rng).as_smooth_fn2(), SeparableFn2([(g, h)], UNIT_RECT)):
+            partial_op(kind, 1, f, alpha, grid, UNIT_RECT)
+        if kind not in (OpKind.D_RL_LEFT, OpKind.D_RL_RIGHT):
+            operators.factor_op(kind, 2, SeparableFn2([(g, h)], UNIT_RECT), alpha, t, UNIT_RECT)
+        # the code of every caller is a function defined in _apply's body
+        assert callers and all(code in operators._apply.__code__.co_consts for code in callers)
+
+    @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.D_CAP_RIGHT])
+    def test_factor_batches_count_terms(self, batches, kind):
+        # 300 terms at 40 points: one point's factors alone exceed a batch
+        _, sizes = batches
+        rng = np.random.default_rng(6)
+        polys = [random_poly1(rng).as_smooth_fn1() for _ in range(6)]
+        f = SeparableFn2([(polys[k % 6], polys[(k + 1) % 6]) for k in range(300)], UNIT_RECT)
+        t = np.linspace(0.0, 1.0, 40)
+        assert 300 * DEFAULT_QUAD.range_nodes > operators._BATCH_NODES
+        table = operators.factor_op(kind, 1, f, sr_alpha(), t, UNIT_RECT)
+        assert table.shape == (300, 40)
+        assert sizes and max(sizes) <= operators._BATCH_NODES
+        # a term's row has the bits of the term integrated on its own
+        for k in (0, 1, 299):
+            one = SeparableFn2([f.terms[k]], UNIT_RECT)
+            assert same_bits(table[k], operators.factor_op(kind, 1, one, sr_alpha(), t,
+                                                           UNIT_RECT)[0])
+
+    @pytest.mark.parametrize("kind", [OpKind.I_RIGHT, OpKind.D_RL_LEFT])
+    def test_section_batches_stay_bounded(self, batches, kind):
+        _, sizes = batches
+        f = SmoothFn2(lambda t1, t2: np.cos(t1 + 2.0 * t2), check=False)
+        t1, t2 = np.linspace(0.05, 1.0, 9)[:, None], np.linspace(0.0, 1.0, 300)[None, :]
+        partial_op(kind, 1, f, sr_alpha(), (t1, t2), UNIT_RECT)
+        assert sizes and max(sizes) <= operators._BATCH_NODES
 
 
 class TestNonFinite:

@@ -6,7 +6,7 @@ from varfrac import (DEFAULT_QUAD, BoundaryData, BoundMode, DomainError,
                      ValidityError, VariableOrder, clustered_gl, el_residual,
                      fd_gradient, first_variation, functional_eval, partial_op,
                      ritz_solve, string_action)
-from varfrac import operators
+from varfrac import operators, variational
 from varfrac.domain import SeparableFn2
 from varfrac.quadrature import KernelRule
 from varfrac.variational import _composed_slot_fields, _ritz_objective, _ritz_tables
@@ -446,6 +446,31 @@ class TestRitzTables:
                 assert np.max(np.abs(ref)) > 0.0
                 err = np.max(np.abs(column - ref)) / np.max(np.abs(ref))
                 assert err <= 1e-13, (axis, err)
+
+    @pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+    def test_columns_are_outer_products_of_the_mode_factors(self, name, monkeypatch):
+        # the tables integrate the lift's terms and n sine factors per axis,
+        # not n**2 mode copies, and each mode's column keeps its bits
+        rows, outer, n = [], 9, 3
+
+        def spy(kind, axis, f, *args):
+            rows.append(len(f.terms))
+            return operators.factor_op(kind, axis, f, *args)
+
+        monkeypatch.setattr(variational, "factor_op", spy)
+        rect, alpha1, alpha2, exp, tables = _table_problem(name, n_modes=n, outer=outer)
+        assert rows == [len(exp.boundary_lift.terms) + n] * 2
+        *_, PHI, D1PHI, D2PHI = tables
+        t1n, _ = clustered_gl(rect.t1.a, rect.t1.b, outer)
+        t2n, _ = clustered_gl(rect.t2.a, rect.t2.b, outer)
+        for b in range(len(exp.modes)):
+            mode = exp.mode_fn(b)
+            g1, g2 = mode.stack(1, 0, t1n)[0], mode.stack(2, 0, t2n)[0]
+            c1, c2 = (operators.factor_op(OpKind.D_CAP_LEFT, axis, mode, alpha, t, rect,
+                                          DEFAULT_QUAD)[0]
+                      for axis, alpha, t in ((1, alpha1, t1n), (2, alpha2, t2n)))
+            for table, (x, y) in zip((PHI, D1PHI, D2PHI), ((g1, g2), (c1, g2), (g1, c2))):
+                assert np.array_equal(table[:, b], np.outer(x, y).ravel())
 
     @pytest.mark.parametrize("name", sorted(_TABLE_CASES))
     def test_exact_gradient_matches_fd(self, name, rng):
