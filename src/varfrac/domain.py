@@ -301,26 +301,29 @@ class SeparableFn2(SmoothFn2):
     factor without an analytic derivative gets the finite-difference
     fallback of :meth:`SmoothFn1.derivative_callable` on its axis of
     ``rect``, and the partials are sums of products with the factors'
-    derivatives.  The partial integrals and Caputo derivatives of
-    :func:`varfrac.operators.partial_op` act on the factors along their
+    derivatives.  :meth:`rows` evaluates the ``count`` factors along an
+    axis; a subclass may append rows of its own there.  The partial
+    integrals and Caputo derivatives of
+    :func:`varfrac.operators.partial_op` act on those rows along their
     axis only.
     """
 
     def __init__(self, terms, rect: Rect2):
         self.terms = [(SmoothFn1.wrap(g), SmoothFn1.wrap(h)) for g, h in terms]
         self.rect = rect
-        # factors[axis - 1][order]: every term's factor along the axis, as a
+        self.count = len(self.terms)
+        # _factors[axis - 1][order]: every term's factor along the axis, as a
         # callable, for order 0, and its derivative for order 1
-        self.factors = [([fn.value for fn in column],
-                         [fn.derivative_callable(rect.axis(i + 1))[0] for fn in column])
-                        for i, column in enumerate(zip(*self.terms))]
-        stack = self.stack
-        super().__init__(lambda t1, t2: _sum_products(stack(1, 0, t1), stack(2, 0, t2)),
-                         lambda t1, t2: _sum_products(stack(1, 1, t1), stack(2, 0, t2)),
-                         lambda t1, t2: _sum_products(stack(1, 0, t1), stack(2, 1, t2)),
+        self._factors = [([fn.value for fn in column],
+                          [fn.derivative_callable(rect.axis(i + 1))[0] for fn in column])
+                         for i, column in enumerate(zip(*self.terms))]
+        rows = self.rows
+        super().__init__(lambda t1, t2: _sum_products(rows(1, 0, t1), rows(2, 0, t2)),
+                         lambda t1, t2: _sum_products(rows(1, 1, t1), rows(2, 0, t2)),
+                         lambda t1, t2: _sum_products(rows(1, 0, t1), rows(2, 1, t2)),
                          check=False)
 
-    def stack(self, axis: int, order: int, s) -> np.ndarray:
-        """The factors along ``axis`` at s, or their derivatives for ``order``
-        1, one per term on a new leading axis."""
-        return np.stack([fn(s) for fn in self.factors[axis - 1][order]])
+    def rows(self, axis: int, order: int, s) -> list:
+        """The ``count`` factors along ``axis`` at s, or their derivatives
+        for ``order`` 1, one value per row."""
+        return [fn(s) for fn in self._factors[axis - 1][order]]

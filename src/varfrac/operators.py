@@ -357,7 +357,7 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
         along, frozen = np.atleast_1d(along), np.atleast_1d(frozen)
         table = factor_op(kind, axis, f2, alpha, along.ravel(), rect, cfg)
         table = table.reshape((-1,) + along.shape)
-        values = _sum_products(table, f2.stack(3 - axis, 0, frozen)).reshape(shape)
+        values = _sum_products(table, f2.rows(3 - axis, 0, frozen)).reshape(shape)
         return float(values) if values.ndim == 0 else values
     t, fz, rank, back = _grid(along, frozen)
 
@@ -372,17 +372,19 @@ def partial_op(kind: OpKind, axis: int, f, alpha: VariableOrder, p, rect: Rect2,
 
 def factor_op(kind: OpKind, axis: int, f: SeparableFn2, alpha: VariableOrder, t,
               rect: Rect2, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """The integral or Caputo kind ``kind`` along ``axis`` of each factor of
-    ``f`` on that axis, at the 1-D points t: an array (terms, t.size).
+    """The integral or Caputo kind ``kind`` along ``axis`` of each row of
+    ``f`` on that axis (:meth:`SeparableFn2.rows`), at the 1-D points t:
+    an array (f.count, t.size).
 
-    The factors are the integrands of :func:`_apply`, so a batch holds
-    points x terms x nodes values.  The points must lie in the axis
+    The rows are the integrands of :func:`_apply`, evaluated together at
+    the kernel nodes and joined by one concatenate, so a batch holds
+    points x rows x nodes values.  The points must lie in the axis
     interval, as :func:`partial_op` checks; called on its axis
     coordinates, this is its 1-D work on a separable field, whose value at
-    (t, frozen) is the sum over terms of this table times the other factor
-    at frozen.
+    (t, frozen) is the sum over rows of this table times the other axis's
+    row at frozen.
     """
     kind, interval = OpKind(kind), rect.axis(axis)
-    factors = f.factors[axis - 1][kind in _CAPUTO]
-    return _apply(kind, lambda tau, i, c: np.concatenate([g(tau) for g in factors[c]], axis=-2),
-                  len(factors), alpha, interval.a, interval.b, np.asarray(t, dtype=float), cfg).T
+    order = kind in _CAPUTO
+    return _apply(kind, lambda tau, i, c: np.concatenate(f.rows(axis, order, tau)[c], axis=-2),
+                  f.count, alpha, interval.a, interval.b, np.asarray(t, dtype=float), cfg).T

@@ -41,9 +41,10 @@ from .specialfn import rgamma1p
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    if n < 1:
-        raise DomainError(f"Gauss-Legendre rule needs n >= 1, got {n}")
+    """Cached Gauss-Legendre nodes and weights on [-1, 1]; DomainError
+    unless n is an integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"Gauss-Legendre rule needs an integer n >= 1, got {n}")
     x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)

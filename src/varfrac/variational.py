@@ -23,7 +23,7 @@ curvature in ``nonconvex_flag``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -205,66 +205,82 @@ def _ramps(iv: Interval):
                       check=False))
 
 
-def _sines(pairs, iv: Interval) -> SmoothFn1:
-    """s -> sum of c * sin(m pi x) over the (m, c) pairs, x = (s - a) / length."""
-    x = lambda s: (s - iv.a) / iv.length
-    return SmoothFn1(
-        lambda s: sum(c * np.sin(m * np.pi * x(s)) for m, c in pairs),
-        lambda s: sum(c * (m * np.pi / iv.length) * np.cos(m * np.pi * x(s)) for m, c in pairs),
-        check=False)
+def _sines(C: np.ndarray, iv: Interval, order: int, s) -> list:
+    """The rows of C times the sines at s: row k is the sum over m = 1, 2, ...
+    of C[k, m - 1] * sin(m pi x), x = (s - a) / length, or its derivative
+    for ``order`` 1.  Each sine or cosine is computed once for all rows,
+    and each row sums its terms in m order from 0, as ``sum`` does, so a
+    unit row has the bits of its one sine: a zero term adds +-0, which
+    leaves a nonzero double unchanged."""
+    x, acc = (s - iv.a) / iv.length, 0
+    for m, c in enumerate(C.T, 1):
+        acc = acc + (np.multiply.outer(c * (m * np.pi / iv.length), np.cos(m * np.pi * x))
+                     if order else np.multiply.outer(c, np.sin(m * np.pi * x)))
+    return list(acc)
+
+
+def _sine(j: int, iv: Interval) -> SmoothFn1:
+    """s -> sin(j pi x), the one row of :func:`_sines` for the unit row of j."""
+    e = np.eye(1, j, j - 1)
+    return SmoothFn1(lambda s: _sines(e, iv, 0, s)[0], lambda s: _sines(e, iv, 1, s)[0],
+                     check=False)
+
+
+def _require_count(name: str, value, least: int):
+    """int(value); DomainError unless value is an integer >= least (0 or 1)."""
+    if not (np.isfinite(value) and value >= least and int(value) == value):
+        kind = "positive" if least else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value}")
+    return int(value)
 
 
 class RitzExpansion(SeparableFn2):
     """Boundary lift plus a span of boundary-vanishing tensor sine modes.
 
     u = lift + sum over modes (k, m) of c_km * sin(k pi x1) * sin(m pi x2)
-    in coordinates normalized to the rectangle.  Every mode vanishes
-    identically on the boundary, so u matches the prescribed trace exactly
-    for any coefficient vector.  ``boundary_lift`` is a SeparableFn2, as
-    :meth:`BoundaryData.lift` returns, and u is one too: the lift's terms
-    plus ``sin(k pi x1) * sum_m c_km sin(m pi x2)`` per axis-1 index k.
+    in coordinates normalized to the rectangle, k and m from 1 to
+    ``n_per_axis``.  Every mode vanishes identically on the boundary, so u
+    matches the prescribed trace exactly for any coefficient vector.
+    ``coeffs`` holds the c_km k-major, in the order of ``modes``.
+    ``boundary_lift`` is a SeparableFn2, as :meth:`BoundaryData.lift`
+    returns, and u is one too: its rows (:meth:`rows`) are the lift's,
+    then n sine rows per axis, ``sin(k pi x1)`` on axis 1 and ``sum_m c_km
+    sin(m pi x2)`` on axis 2, from :func:`_sines` with the identity and
+    with the coefficient matrix C = (c_km).  Raises DomainError unless
+    ``n_per_axis`` is a positive integer and ``coeffs`` holds its square.
     """
 
-    def __init__(self, boundary_lift: SeparableFn2, modes: Sequence[tuple[int, int]],
-                 coeffs, rect: Rect2):
+    def __init__(self, boundary_lift: SeparableFn2, n_per_axis: int, coeffs, rect: Rect2):
         if not isinstance(boundary_lift, SeparableFn2):
             raise TypeError("boundary_lift must be a SeparableFn2, as BoundaryData.lift() returns")
+        n = _require_count("n_per_axis", n_per_axis, 1)
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(modes),):
-            raise DomainError(
-                f"expected {len(modes)} coefficients, got shape {coeffs.shape}"
-            )
-        self.boundary_lift = boundary_lift
-        self.modes = [(int(k), int(m)) for k, m in modes]
+        if coeffs.shape != (n * n,):
+            raise DomainError(f"expected {n * n} coefficients, got shape {coeffs.shape}")
+        self.boundary_lift, self.n_per_axis = boundary_lift, n
+        self.modes = [(k, m) for k in range(1, n + 1) for m in range(1, n + 1)]
         self.coeffs = coeffs
-        super().__init__(boundary_lift.terms + [
-            (_sines([(k, 1.0)], rect.t1),
-             _sines([(m, c) for (j, m), c in zip(self.modes, coeffs) if j == k], rect.t2))
-            for k in dict.fromkeys(k for k, _ in self.modes)], rect)
+        # the coefficient matrix of each axis's sine rows
+        self._blocks = (np.eye(n), coeffs.reshape(n, n))
+        super().__init__(boundary_lift.terms, rect)
+        self.count += n
 
-    @staticmethod
-    def tensor_modes(n_per_axis: int) -> list[tuple[int, int]]:
-        if n_per_axis < 1:
-            raise DomainError(f"n_per_axis must be >= 1, got {n_per_axis}")
-        return [(k, m) for k in range(1, n_per_axis + 1)
-                for m in range(1, n_per_axis + 1)]
+    def rows(self, axis: int, order: int, s) -> list:
+        return (super().rows(axis, order, s)
+                + _sines(self._blocks[axis - 1], self.rect.axis(axis), order, s))
 
     @classmethod
     def zero(cls, psi: BoundaryData, n_per_axis: int) -> "RitzExpansion":
-        modes = cls.tensor_modes(n_per_axis)
-        return cls(psi.lift(), modes, np.zeros(len(modes)), psi.rect)
-
-    def as_smooth_fn2(self) -> SeparableFn2:
-        return self
+        n = _require_count("n_per_axis", n_per_axis, 1)
+        return cls(psi.lift(), n, np.zeros(n * n), psi.rect)
 
     def with_coeffs(self, coeffs) -> "RitzExpansion":
-        return RitzExpansion(self.boundary_lift, self.modes, coeffs, self.rect)
+        return RitzExpansion(self.boundary_lift, self.n_per_axis, coeffs, self.rect)
 
     def mode_fn(self, index: int) -> SeparableFn2:
         """The index-th basis mode, one term with analytic partials."""
         k, m = self.modes[index]
-        return SeparableFn2([(_sines([(k, 1.0)], self.rect.t1), _sines([(m, 1.0)], self.rect.t2))],
-                            self.rect)
+        return SeparableFn2([(_sine(k, self.rect.t1), _sine(m, self.rect.t2))], self.rect)
 
 
 @dataclass
@@ -371,8 +387,7 @@ def el_residual(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
     sqrt(mean(R^2) * area).  Raises DomainError unless ``point_grid`` is a
     positive integer.
     """
-    if int(point_grid) != point_grid or point_grid < 1:
-        raise DomainError(f"point_grid must be a positive integer, got {point_grid}")
+    _require_count("point_grid", point_grid, 1)
     u2 = SmoothFn2.wrap(u)
     f_u, f_d1, f_d2 = _composed_slot_fields(L, u2, alpha1, alpha2, rect, cfg)
     g1 = rect.t1.interior_grid(point_grid)
@@ -434,31 +449,29 @@ def _ritz_tables(expansion: RitzExpansion, alpha1: VariableOrder, alpha2: Variab
 
     The boundary lift and every mode are sums of products of one-variable
     factors, and a partial Caputo derivative acts on the factors along its
-    axis only.  So the lift's terms and one term ``sin(j pi x1) *
-    sin(j pi x2)`` per distinct mode index j go into one SeparableFn2,
-    whose factors are tabulated at each axis's outer nodes with one kernel
-    rule per axis (:func:`factor_op`): n sine factors per axis for n**2
-    modes.  Each table column is a sum of outer products of those factor
-    tables.  After that every J(c) evaluation is a handful of dense matrix
-    products.
+    axis only.  So the basis is the expansion with the identity for its
+    coefficient matrix: its rows (:meth:`RitzExpansion.rows`) are the
+    lift's, then ``sin(j pi x)`` for j = 1..n on each axis, tabulated at
+    each axis's outer nodes with one kernel rule per axis
+    (:func:`factor_op`): n sine rows per axis for n**2 modes.  Each table
+    column is a sum of outer products of those row tables.  After that
+    every J(c) evaluation is a handful of dense matrix products.
     """
     t1n, w1 = clustered_gl(rect.t1.a, rect.t1.b, outer_grid)
     t2n, w2 = clustered_gl(rect.t2.a, rect.t2.b, outer_grid)
     T1 = np.repeat(t1n, outer_grid)
     T2 = np.tile(t2n, outer_grid)
     W = np.outer(w1, w2).ravel()
-    lift, sines = expansion.boundary_lift, sorted({j for mode in expansion.modes for j in mode})
-    basis = SeparableFn2(lift.terms + [(_sines([(j, 1.0)], rect.t1), _sines([(j, 1.0)], rect.t2))
-                                       for j in sines], rect)
-    G1, G2 = basis.stack(1, 0, t1n), basis.stack(2, 0, t2n)
+    basis = expansion.with_coeffs(np.eye(expansion.n_per_axis).ravel())
+    G1, G2 = np.array(basis.rows(1, 0, t1n)), np.array(basis.rows(2, 0, t2n))
     C1 = factor_op(OpKind.D_CAP_LEFT, 1, basis, alpha1, t1n, rect, cfg)
     C2 = factor_op(OpKind.D_CAP_LEFT, 2, basis, alpha2, t2n, rect, cfg)
 
     # u, CapD1 u and CapD2 u of a term are the outer products of these pairs;
-    # mode (k, m) pairs the sine row of k on axis 1 with that of m on axis 2
-    pairs, r = ((G1, G2), (C1, G2), (G1, C2)), len(lift.terms)
+    # mode (k, m) pairs row r + k - 1 on axis 1 with row r + m - 1 on axis 2
+    pairs, r = ((G1, G2), (C1, G2), (G1, C2)), expansion.boundary_lift.count
     U0, D10, D20 = (_sum_products(g1[:r, :, None], g2[:r, None, :]).ravel() for g1, g2 in pairs)
-    k, m = r + np.searchsorted(sines, expansion.modes).T
+    k, m = r - 1 + np.array(expansion.modes).T
     PHI, D1PHI, D2PHI = ((g1[k, :, None] * g2[m, None, :]).reshape(len(k), -1).T
                          for g1, g2 in pairs)
     return T1, T2, W, U0, D10, D20, PHI, D1PHI, D2PHI
@@ -495,7 +508,8 @@ def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
                coeffs0=None) -> SolveReport:
     """Direct minimization of J over the Ritz space for the given boundary data.
 
-    ``n_modes`` is the mode count per axis (n_modes**2 coefficients).  The
+    ``n_modes`` is the mode count per axis (n_modes**2 coefficients;
+    DomainError, before any work, unless it is a positive integer).  The
     returned report carries the coefficient vector, the functional value,
     the gradient norm reached, and the stationarity residual of the
     solution on an ``el_grid`` x ``el_grid`` interior grid (``el_grid=0``
@@ -503,8 +517,7 @@ def ritz_solve(L: Lagrangian, psi: BoundaryData, alpha1: VariableOrder,
     non-negative integer).  BFGS gets the exact gradient of the tabulated
     J from the declared partials of ``L``.  Evaluation is serial.
     """
-    if int(el_grid) != el_grid or el_grid < 0:
-        raise DomainError(f"el_grid must be a non-negative integer, got {el_grid}")
+    _require_count("el_grid", el_grid, 0)
     expansion = RitzExpansion.zero(psi, n_modes)
     if coeffs0 is not None:
         expansion = expansion.with_coeffs(coeffs0)

@@ -54,7 +54,9 @@ def test_stencil_ops_reach_the_regular_ends(replay_tool, tmp_path):
 
 def test_solve_configs_have_a_lift_and_a_residual(replay_tool, tmp_path):
     # the lift's terms and three or more sine modes per axis in one table,
-    # and the stationarity residual of the solution on a grid
+    # four in one config, and the stationarity residual of the solution on a
+    # grid of a non-unit rectangle
+    assert max(config["n_modes"] for _, config in replay_tool.SOLVE_CONFIGS) >= 4
     calls = itertools.takewhile(lambda call: not call[0].startswith("selftest/"),
                                 replay_tool.replay(tmp_path))
     calls = [call for call in calls if call[0].startswith("solve/")]
@@ -62,6 +64,7 @@ def test_solve_configs_have_a_lift_and_a_residual(replay_tool, tmp_path):
     for (name, code, out, err), (_, config) in zip(calls, replay_tool.SOLVE_CONFIGS):
         assert isinstance(config["psi"], dict)
         assert config["n_modes"] >= 3 and config["el_grid"] >= 2
+        assert config["rect"] != {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0}
         report = json.loads(out)
         assert code == 0 and err == ""
         assert len(report["coeffs"]) == config["n_modes"] ** 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varfrac import (BoundMode, QuadConfig, SmoothFn2, ValidityError,
+from varfrac import (BoundMode, DomainError, QuadConfig, SmoothFn2, ValidityError,
                      VariableOrder, boundary_contour, contour_one_form,
                      verify_green, verify_ibp)
 from varfrac.identities import _probe_c1, _right_co_integral_field
@@ -74,6 +74,11 @@ class TestVerifyIbp:
         d = rep.to_json_dict()
         assert list(d.keys()) == ["lhs", "rhs", "residual", "outer_grid", "panels",
                                   "nodes_per_panel", "grading", "converged"]
+
+    def test_non_integer_outer_grid_rejected(self):
+        a = ibp_alpha(0.5)
+        with pytest.raises(DomainError, match="integer n >= 1, got 2.5"):
+            verify_ibp(ZERO, ZERO, ZERO, ZERO, a, a, UNIT_RECT, outer_grid=2.5)
 
 
 class TestContour:

@@ -312,6 +312,14 @@ class TestClusteredRule:
         v = tensor_integral(lambda t1, t2: t1 * t2 ** 2, UNIT_RECT, 16)
         assert v == pytest.approx(0.5 / 3.0, abs=1e-11)
 
+    @pytest.mark.parametrize("n", [2.5, 8.0, 0])
+    def test_rule_size_must_be_a_positive_integer(self, n):
+        # a library error, not numpy's TypeError, for a non-integer size
+        with pytest.raises(DomainError, match=f"integer n >= 1, got {n}"):
+            tensor_integral(lambda t1, t2: t1 * t2, UNIT_RECT, n)
+        with pytest.raises(DomainError, match=f"integer n >= 1, got {n}"):
+            clustered_gl(0.0, 1.0, n)
+
     def test_tensor_integral_calls_field_once_on_whole_grid(self):
         shapes = []
 

@@ -153,15 +153,27 @@ class TestRitzExpansion:
     def test_coefficient_count_validated(self):
         psi = BoundaryData.zero(UNIT_RECT)
         with pytest.raises(DomainError):
-            RitzExpansion(psi.lift(), [(1, 1), (1, 2)], [1.0], UNIT_RECT)
+            RitzExpansion(psi.lift(), 2, [1.0], UNIT_RECT)
         with pytest.raises(TypeError, match="SeparableFn2"):
-            RitzExpansion(U_ZERO, [(1, 1)], [1.0], UNIT_RECT)
+            RitzExpansion(U_ZERO, 1, [1.0], UNIT_RECT)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_n_per_axis_must_be_a_positive_integer(self, n):
+        psi = BoundaryData.zero(UNIT_RECT)
+        with pytest.raises(DomainError, match=f"n_per_axis must be a positive integer, got {n}"):
+            RitzExpansion(psi.lift(), n, [1.0], UNIT_RECT)
+        with pytest.raises(DomainError, match=f"n_per_axis must be a positive integer, got {n}"):
+            RitzExpansion.zero(psi, n)
 
 
 class TestFunctionalEval:
     def test_area_of_one(self):
         v = functional_eval(L_VALUE_SLOT, U_CONST, A05, A05, UNIT_RECT, 12)
         assert v == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_integer_outer_grid_rejected(self):
+        with pytest.raises(DomainError, match="integer n >= 1, got 2.5"):
+            functional_eval(L_VALUE_SLOT, U_CONST, A05, A05, UNIT_RECT, 2.5)
 
     def test_dirichlet_energy_of_constant_is_zero(self):
         v = functional_eval(Lagrangian.dirichlet(), U_CONST, A05, A05, UNIT_RECT, 10)
@@ -252,8 +264,7 @@ class TestElResidual:
         rep = el_residual(L, u, alpha1, alpha2, rect, point_grid=3, cfg=cfg)
 
         # reference: one outer-grid row per call
-        f_u, f_d1, f_d2 = _composed_slot_fields(L, u.as_smooth_fn2(), alpha1, alpha2,
-                                                rect, cfg)
+        f_u, f_d1, f_d2 = _composed_slot_fields(L, u, alpha1, alpha2, rect, cfg)
         g2 = rect.t2.interior_grid(3)
         ref = np.vstack([
             f_u(t1, g2)
@@ -374,6 +385,19 @@ class TestRitzSolve:
             ritz_solve(Lagrangian.dirichlet(), BoundaryData.zero(UNIT_RECT),
                        A04, A04, UNIT_RECT, n_modes=1, outer_grid=8, el_grid=el_grid)
 
+    @pytest.mark.parametrize("n_modes", [0, 2.5, float("nan")])
+    def test_n_modes_must_be_a_positive_integer(self, n_modes, monkeypatch):
+        # rejected before any work: no table is built
+        monkeypatch.setattr(variational, "_ritz_tables", lambda *args: pytest.fail("tables"))
+        with pytest.raises(DomainError, match=f"positive integer, got {n_modes}"):
+            ritz_solve(Lagrangian.dirichlet(), BoundaryData.zero(UNIT_RECT),
+                       A04, A04, UNIT_RECT, n_modes=n_modes, outer_grid=8, el_grid=0)
+
+    def test_non_integer_outer_grid_rejected(self):
+        with pytest.raises(DomainError, match="integer n >= 1, got 2.5"):
+            ritz_solve(Lagrangian.dirichlet(), BoundaryData.zero(UNIT_RECT),
+                       A04, A04, UNIT_RECT, n_modes=1, outer_grid=2.5, el_grid=0)
+
     def test_nonzero_boundary_constant(self):
         # psi = 2: u = 2 is admissible; Dirichlet energy minimized at c = 0
         psi = BoundaryData.constant(2.0, UNIT_RECT)
@@ -454,7 +478,7 @@ class TestRitzTables:
         rows, outer, n = [], 9, 3
 
         def spy(kind, axis, f, *args):
-            rows.append(len(f.terms))
+            rows.append(f.count)
             return operators.factor_op(kind, axis, f, *args)
 
         monkeypatch.setattr(variational, "factor_op", spy)
@@ -465,7 +489,7 @@ class TestRitzTables:
         t2n, _ = clustered_gl(rect.t2.a, rect.t2.b, outer)
         for b in range(len(exp.modes)):
             mode = exp.mode_fn(b)
-            g1, g2 = mode.stack(1, 0, t1n)[0], mode.stack(2, 0, t2n)[0]
+            g1, g2 = mode.rows(1, 0, t1n)[0], mode.rows(2, 0, t2n)[0]
             c1, c2 = (operators.factor_op(OpKind.D_CAP_LEFT, axis, mode, alpha, t, rect,
                                           DEFAULT_QUAD)[0]
                       for axis, alpha, t in ((1, alpha1, t1n), (2, alpha2, t2n)))
@@ -521,7 +545,7 @@ class TestSeparablePath:
     def test_matches_generic_path(self, kind, axis):
         alpha1, alpha2, exp = _separable_problem()
         alpha = alpha1 if axis == 1 else alpha2
-        u = exp.as_smooth_fn2()
+        u = exp
         assert isinstance(u, SeparableFn2)
         generic = SmoothFn2(u.value, u.d_t1, u.d_t2, check=False)
         # both rectangle edges and interior points, repeated along both axes
@@ -537,7 +561,7 @@ class TestSeparablePath:
 
     def test_el_residual_matches_generic_path(self):
         alpha1, alpha2, exp = _separable_problem(n_modes=2)
-        u = exp.as_smooth_fn2()
+        u = exp
         generic = SmoothFn2(u.value, u.d_t1, u.d_t2, check=False)
         cfg = QuadConfig(panels=12)
         L = Lagrangian(lambda t1, t2, u, d1, d2: d1 ** 2 + 0.5 * d2 ** 2 + u ** 2 + t1 * u,
@@ -553,6 +577,28 @@ class TestSeparablePath:
 
 class TestSeparableWork:
     """Kernel rules and nodes, counted where the operators build them."""
+
+    def test_el_residual_evaluates_n_sines_per_node(self, monkeypatch):
+        # an expansion's sine rows share each sin(m pi x) and cos(m pi x), so
+        # the elements evaluated grow as n, the modes per axis, not as n**2
+        alpha1, alpha2, _ = _separable_problem()
+        psi = BoundaryData.from_function(lambda t1, t2: 1.0 + t1 * t2 + t2 ** 2, _SEP_RECT)
+        L = Lagrangian.quadratic()
+        counts = {}
+
+        def counted(fn):
+            def spy(x, *args, **kwargs):
+                counts[n] += np.size(x)
+                return fn(x, *args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+        for n in (2, 4):
+            counts[n] = 0
+            exp = RitzExpansion.zero(psi, n).with_coeffs(np.linspace(-0.3, 0.4, n * n))
+            el_residual(L, exp, alpha1, alpha2, _SEP_RECT, 2, QuadConfig(panels=6))
+        assert counts[2] > 0 and counts[4] == 2 * counts[2], counts
 
     @pytest.fixture
     def work(self, monkeypatch):

@@ -22,8 +22,8 @@ The corpus:
   where the central stencil fits and where it does not: a left one in the
   middle, near and at b, a right one near and at a, and a partial one;
 * ``solve`` configs (:data:`SOLVE_CONFIGS`) with a nonzero boundary lift,
-  three or more modes per axis and a stationarity residual grid, on a
-  non-unit rectangle with (t, tau)-varying orders;
+  three and four modes per axis and a stationarity residual grid, on
+  non-unit rectangles with (t, tau)-varying orders;
 * ``selftest --seed 0`` and ``selftest --seed 5``;
 * the ``verify_cli`` benchmark configs of seeds 301 and 302;
 * ``repr(ritz_solve(...).to_json_dict())`` of the ``solve`` benchmark
@@ -69,6 +69,7 @@ STENCIL_OPS = (
                             "points": [[0.3, 0.5], [0.7, 0.99999], [1.0, 1.0]]}),
 )
 # (name, config) of the solve calls; the edges are those of 1 + t1*t2 + t2^2
+# on each rectangle
 SOLVE_CONFIGS = (
     ("solve/lift/n3", {"lagrangian": "quadratic",
                        "psi": {"bottom": "1.25-0.5*t1", "right": "1+1.5*t2+t2^2",
@@ -76,6 +77,12 @@ SOLVE_CONFIGS = (
                        "alpha1": "0.3+0.1*t*tau", "alpha2": "0.25+0.1*t+0.05*tau",
                        "l1": 3, "l2": 3, "rect": {"a1": 0.0, "b1": 1.5, "a2": -0.5, "b2": 1.0},
                        "n_modes": 3, "outer_grid": 12, "el_grid": 2}),
+    ("solve/lift/n4", {"lagrangian": "quadratic",
+                       "psi": {"bottom": "1.04+0.2*t1", "right": "1+0.9*t2+t2^2",
+                               "top": "3.25+1.5*t1", "left": "1-0.3*t2+t2^2"},
+                       "alpha1": "0.35+0.1*t-0.05*tau", "alpha2": "0.3+0.1*t*tau",
+                       "l1": 3, "l2": 3, "rect": {"a1": -0.3, "b1": 0.9, "a2": 0.2, "b2": 1.5},
+                       "n_modes": 4, "outer_grid": 14, "el_grid": 2}),
 )
 _SAME = lambda fn: fn  # the benchmark's tracing hook, here a no-op
 
