@@ -6,9 +6,10 @@ overrides.  Numeric output uses 17-significant-digit formatting, which
 round-trips every double exactly.  Evaluation is serial; ``--threads`` is
 accepted for compatibility and ignored, so output does not depend on it.
 
-Exit codes: 0 ok, 2 parse error (config or expression), 3 validity error
-(order bounds, hypotheses, domains), 4 identity residual above tolerance
-or failed self-test property, 5 optimizer did not reach its tolerance.
+Exit codes: 0 ok, 2 parse error (config file, config value or
+expression), 3 validity error (order bounds, hypotheses, domains), 4
+identity residual above tolerance or failed self-test property, 5
+optimizer did not reach its tolerance.
 """
 
 from __future__ import annotations
@@ -46,14 +47,53 @@ def _int(value, name: str) -> int:
     raise ExpressionError(f"{name} must be an integer, got {value!r}")
 
 
+def _num(value, name: str) -> float:
+    """``value`` as a float if it is a number; anything else is a parse
+    error naming ``name``."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        return float(value)
+    raise ExpressionError(f"{name} must be a number, got {value!r}")
+
+
+def _nums(value, name: str) -> list:
+    """``value`` as a list of floats if it is a list of numbers."""
+    if not isinstance(value, list):
+        raise ExpressionError(f"{name} must be a list of numbers, got {value!r}")
+    return [_num(v, f"{name} entry") for v in value]
+
+
+def _points(value) -> np.ndarray:
+    """The ``points`` list of [t1, t2] pairs as an (n, 2) array."""
+    if not isinstance(value, list) or any(not isinstance(p, list) or len(p) != 2 for p in value):
+        raise ExpressionError(f"points must be a list of [t1, t2] pairs, got {value!r}")
+    return np.array([_nums(p, "points") for p in value]).reshape(-1, 2)
+
+
+def _obj(value, name: str) -> dict:
+    """``value`` if it is a JSON object; anything else is a parse error."""
+    if not isinstance(value, dict):
+        raise ExpressionError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _choice(value, enum_cls, name: str):
+    """The member of ``enum_cls`` whose value is ``value``."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        expected = ", ".join(repr(m.value) for m in enum_cls)
+        raise ExpressionError(f"{name} must be one of {expected}, got {value!r}") from None
+
+
 def _build_quad(cfg_obj) -> QuadConfig:
     if not cfg_obj:
         return DEFAULT_QUAD
+    cfg_obj = _obj(cfg_obj, "quad")
     return QuadConfig(
         panels=_int(cfg_obj.get("panels", DEFAULT_QUAD.panels), "panels"),
         nodes_per_panel=_int(cfg_obj.get("nodes_per_panel", DEFAULT_QUAD.nodes_per_panel),
                              "nodes_per_panel"),
-        grading=float(cfg_obj.get("grading", DEFAULT_QUAD.grading)),
+        grading=_num(cfg_obj.get("grading", DEFAULT_QUAD.grading), "grading"),
     )
 
 
@@ -63,17 +103,18 @@ def _build_alpha(spec, interval: Interval, default_l: int = 2,
     if isinstance(spec, dict):
         expr_src = spec["expr"]
         l = _int(spec.get("l", default_l), "l")
-        mode = BoundMode(spec.get("bound_mode", default_mode))
+        mode = _choice(spec.get("bound_mode", default_mode), BoundMode, "bound_mode")
     else:
         expr_src = str(spec)
         l = default_l
-        mode = BoundMode(default_mode)
+        mode = _choice(default_mode, BoundMode, "bound_mode")
     expr = compile_expression(expr_src, ("t", "tau"))
     return VariableOrder(expr, interval, l=l, bound_mode=mode)
 
 
 def _build_rect(obj) -> Rect2:
-    return Rect2.of(float(obj["a1"]), float(obj["b1"]), float(obj["a2"]), float(obj["b2"]))
+    obj = _obj(obj, "rect")
+    return Rect2.of(*(_num(obj[key], key) for key in ("a1", "b1", "a2", "b2")))
 
 
 def _fn2_from_config(config, name: str) -> SmoothFn2:
@@ -89,10 +130,10 @@ def _fn2_from_config(config, name: str) -> SmoothFn2:
 
 
 def _cmd_op(config, args) -> int:
-    kind = OpKind(config["kind"])
+    kind = _choice(config["kind"], OpKind, "kind")
     quad = _build_quad(config.get("quad"))
     h = config.get("h")
-    h = None if h is None else float(h)
+    h = None if h is None else _num(h, "h")
     out = sys.stdout
 
     if "axis" in config:  # two-variable partial operator
@@ -101,14 +142,14 @@ def _cmd_op(config, args) -> int:
         alpha = _build_alpha(config["alpha"], rect.axis(axis),
                              _int(config.get("l", 2), "l"), config.get("bound_mode", "plain"))
         f = _fn2_from_config(config, "f")
-        points = np.array(config.get("points", []), dtype=float).reshape(-1, 2)
+        points = _points(config.get("points", []))
         values = partial_op(kind, axis, f, alpha, points.T, rect, quad, h)
         out.write("t1,t2,value\n")
         for (t1, t2), v in zip(points, values):
             out.write(f"{_fmt(t1)},{_fmt(t2)},{_fmt(v)}\n")
         return 0
 
-    a, b = float(config["a"]), float(config["b"])
+    a, b = _num(config["a"], "a"), _num(config["b"], "b")
     interval = Interval(a, b)
     alpha = _build_alpha(config["alpha"], interval,
                          _int(config.get("l", 2), "l"), config.get("bound_mode", "plain"))
@@ -118,14 +159,14 @@ def _cmd_op(config, args) -> int:
                   None if dexpr is None else compile_expression(dexpr, ("tau",)),
                   check=False)
     grid_obj = config.get("grid", {})
-    if isinstance(grid_obj, dict) and "values" in grid_obj:
-        grid = [float(v) for v in grid_obj["values"]]
-    elif isinstance(grid_obj, list):
-        grid = [float(v) for v in grid_obj]
+    if isinstance(grid_obj, list):
+        grid = _nums(grid_obj, "grid")
+    elif "values" in _obj(grid_obj, "grid"):
+        grid = _nums(grid_obj["values"], "grid values")
     else:
         count = _int(grid_obj.get("count", 0), "count")
-        grid = list(np.linspace(float(grid_obj.get("start", a)),
-                                float(grid_obj.get("stop", b)), count)) if count else []
+        grid = list(np.linspace(_num(grid_obj.get("start", a), "start"),
+                                _num(grid_obj.get("stop", b), "stop"), count)) if count else []
 
     values = interval_op(kind, f, alpha, a, b, grid, quad, h)
     out.write("t,value\n")
@@ -148,7 +189,7 @@ def _cmd_verify(config, args) -> int:
     rect = _build_rect(config["rect"])
     quad = _build_quad(config.get("quad"))
     tolerance = args.tolerance if args.tolerance is not None \
-        else float(config.get("tolerance", 1e-5 if identity == "ibp" else 1e-4))
+        else _num(config.get("tolerance", 1e-5 if identity == "ibp" else 1e-4), "tolerance")
     mode = "above_one_over_l" if identity == "ibp" else "below_one_minus"
     alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)
     alpha2 = _build_alpha(config["alpha2"], rect.t2, _int(config.get("l2", 2), "l2"), mode)
@@ -179,7 +220,7 @@ def _build_lagrangian(config, rect: Rect2) -> Lagrangian:
         return Lagrangian.quadratic()
     if spec == "string":
         sigma = compile_expression(str(config.get("sigma", "1")), ("t2",))
-        return Lagrangian.string(sigma, float(config.get("tension", 1.0)))
+        return Lagrangian.string(sigma, _num(config.get("tension", 1.0), "tension"))
     if isinstance(spec, dict):
         return Lagrangian(
             compile_expression(spec["L"], _L_VARS),
@@ -195,6 +236,7 @@ def _build_psi(config, rect: Rect2) -> BoundaryData:
     psi = config.get("psi", 0.0)
     if isinstance(psi, (int, float)):
         return BoundaryData.zero(rect) if psi == 0 else BoundaryData.constant(float(psi), rect)
+    psi = _obj(psi, "psi")
     return BoundaryData(
         compile_expression(psi["bottom"], ("t1",)),
         compile_expression(psi["right"], ("t2",)),
@@ -213,7 +255,7 @@ def _cmd_solve(config, args) -> int:
     alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)
     alpha2 = _build_alpha(config["alpha2"], rect.t2, _int(config.get("l2", 2), "l2"), mode)
     opt_tol = args.tolerance if args.tolerance is not None \
-        else float(config.get("opt_tol", 1e-7))
+        else _num(config.get("opt_tol", 1e-7), "opt_tol")
     coeffs0 = config.get("coeffs0")
     report = ritz_solve(
         lagr, psi, alpha1, alpha2, rect,
@@ -223,7 +265,7 @@ def _cmd_solve(config, args) -> int:
         opt_tol=opt_tol,
         max_iter=_int(config.get("max_iter", 500), "max_iter"),
         el_grid=_int(config.get("el_grid", 4), "el_grid"),
-        coeffs0=None if coeffs0 is None else [float(c) for c in coeffs0],
+        coeffs0=None if coeffs0 is None else _nums(coeffs0, "coeffs0"),
     )
     sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0 if report.converged else 5
@@ -272,13 +314,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    command = args.command_pos or args.command_flag or config.get("command")
-    if command not in _COMMANDS:
-        print(f"no command given; expected one of {', '.join(_COMMANDS)}",
-              file=sys.stderr)
-        return 2
-
     try:
+        config = _obj(config, "config")
+        command = args.command_pos or args.command_flag or config.get("command")
+        if command not in _COMMANDS:
+            print(f"no command given; expected one of {', '.join(_COMMANDS)}",
+                  file=sys.stderr)
+            return 2
         # a non-finite value is reported by the library's finiteness checks
         # as a validity error, so numpy's floating-point warnings stay off
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

@@ -10,6 +10,8 @@ operators can take apart axis by axis.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +39,21 @@ def _as_array_fn(fn):
         return out
 
     return wrapped
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether value is a finite integral number >= least."""
+    return (isinstance(value, numbers.Real) and math.isfinite(value) and value >= least
+            and int(value) == value)
+
+
+def _require_count(name: str, value, least: int) -> int:
+    """int(value); DomainError unless value is an integer >= least."""
+    if not _is_count(value, least):
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+        raise DomainError(f"{name} must be {kind}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -118,7 +135,7 @@ class VariableOrder:
     validate: bool = True
 
     def __post_init__(self):
-        if int(self.l) != self.l or self.l < 2:
+        if not _is_count(self.l, 2):
             raise ValidityError(f"bound parameter l must be an integer >= 2, got {self.l}")
         object.__setattr__(self, "fn", _as_array_fn(self.fn))
         if self.validate:

@@ -40,7 +40,9 @@ further (:func:`factor_op`): its integrands are the field's factors along
 the axis, and the factors of the other axis are multiplied in at the
 frozen coordinates.  Rule construction is elementwise and each (point,
 integrand) row is reduced on its own, so every value is bit-identical to
-the one-point call, whatever batch it falls in.  All operations are pure.
+the one-point call, whatever batch it falls in.  A non-finite integrand
+value is named by re-running its point alone after the loop, so the error
+is the one-point call's too.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .domain import (_CENTRAL, _ONE_SIDED, Interval, Rect2, SeparableFn2, Smooth
                      SmoothFn2, VariableOrder, _fd_derivative, _sum_products)
 from .errors import DomainError, ValidityError
 from .quadrature import (DEFAULT_QUAD, KernelRule, QuadConfig, Side, SingularKernelSpec,
-                         WeightShift, _require_finite)
+                         WeightShift)
 
 # step = min(h, _STEP_DISTANCE_FRACTION * distance-to-singular-endpoint)
 _STEP_DISTANCE_FRACTION = 0.1
@@ -128,22 +130,6 @@ def _stencil_derivative(F, t: np.ndarray, lo: float, hi: float, h: float, left: 
             out[i] = _fd_derivative(lambda x: F(i, x), sign * h_eff[i, None], stencil)(t[i, None])
 
 
-def _fault(rule: KernelRule, values: np.ndarray, rank, where):
-    """``(rank(i, j), message)`` of the point (i, j) first in ``rank`` order
-    among those whose integrand values ``values[..., i, j, :]``, at every
-    stencil point if a leading axis holds a stencil, are not all finite;
-    the message is the one the rule raises for that point alone, with
-    ``where(i, j)`` appended if given."""
-    i, j = np.nonzero(~np.isfinite(values).all(axis=(*range(values.ndim - 3), -1)))
-    first = np.argmin(rank(i, j))
-    i, j = i[first], j[first]
-    try:
-        _require_finite(values[..., i, j, :], "integrand value",
-                        lambda idx: rule._node(idx[:-1] + (i, j) + idx[-1:]))
-    except ValidityError as exc:
-        return rank(i, j), str(exc) if where is None else f"{exc}, {where(i, j)}"
-
-
 def _apply(kind: OpKind, integrand, lead: int, alpha: VariableOrder, a: float, b: float,
            t: np.ndarray, cfg: QuadConfig, h: Optional[float] = None, rank=None,
            where=None) -> np.ndarray:
@@ -161,10 +147,12 @@ def _apply(kind: OpKind, integrand, lead: int, alpha: VariableOrder, a: float, b
     along the integrands where one point's alone exceed that.
 
     Errors name the first offending point, as a one-point call would: a
-    range error the first t.  With ``rank``, a non-finite integrand value
-    names, over all batches, the first (point, integrand) in ``rank(i, j)``
-    order, with ``where(i, j)`` appended if given; without it the rule's
-    own ValidityError propagates.
+    range error the first t.  Without ``rank`` a non-finite integrand value
+    raises the rule's own ValidityError.  With it, the (point, integrand)
+    rows of such a value are NaN, an RL stencil carrying them into the
+    derivative, and after the loop the non-finite results are re-run one
+    at a time, alone, in ``rank(i, j)`` order: the first that raises is
+    raised again, with ``where(i, j)`` appended if given.
     """
     left, rl = kind in _LEFT, kind in _RL
     # an empty range is allowed, and gives 0, everywhere but under an RL derivative
@@ -176,7 +164,7 @@ def _apply(kind: OpKind, integrand, lead: int, alpha: VariableOrder, a: float, b
     per_batch = max(1, _BATCH_NODES // cfg.range_nodes)
     col_step = min(lead, per_batch)
     row_step = max(1, per_batch // col_step)
-    out, faults = np.zeros((t.size, lead)), []
+    out = np.zeros((t.size, lead))
 
     def integrals(i, x, c):
         """Kernel integrals of the integrands c for the points t[i], an
@@ -189,10 +177,9 @@ def _apply(kind: OpKind, integrand, lead: int, alpha: VariableOrder, a: float, b
         except ValidityError:
             if rank is None:
                 raise
+            # NaN marks the faulty (point, integrand) rows, named after the loop
             values = np.broadcast_to(values, np.broadcast(values, rule.tau).shape)
-            faults.append(_fault(rule, values, lambda p, j: rank(i[p], c.start + j),
-                                 where and (lambda p, j: where(i[p], c.start + j))))
-            return np.zeros(values.shape[:-1])
+            return np.where(np.isfinite(values).all(axis=-1), 0.0, np.nan)
 
     step = alpha.domain.length * _DEFAULT_STEP_FRACTION if h is None else h
     lo, hi = (a, alpha.domain.b) if left else (alpha.domain.a, b)
@@ -211,8 +198,14 @@ def _apply(kind: OpKind, integrand, lead: int, alpha: VariableOrder, a: float, b
                 if live.size:  # a batch with no live point builds no rule
                     values = integrals(r0 + live, t[r][live, None], c)
                     batch[live] = -values if kind is OpKind.D_CAP_RIGHT else values
-    if faults:
-        raise ValidityError(min(faults)[1])
+    if rank is not None and not np.isfinite(out).all():
+        bad = np.argwhere(~np.isfinite(out))
+        for p, q in bad[np.argsort(rank(*bad.T))]:
+            try:  # a non-finite result from finite values raises nothing
+                _apply(kind, lambda tau, i, c: integrand(tau, p + i, slice(q, q + 1)), 1,
+                       alpha, a, b, t[p:p + 1], cfg, h)
+            except ValidityError as exc:
+                raise ValidityError(f"{exc}, {where(p, q)}" if where else str(exc)) from None
     return out
 
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .domain import VariableOrder
+from .domain import VariableOrder, _require_count
 from .errors import DomainError, ValidityError
 from .specialfn import rgamma1p
 
@@ -70,10 +70,10 @@ class QuadConfig:
     grading: float = 0.25
 
     def __post_init__(self):
-        if int(self.panels) != self.panels or self.panels < 1:
-            raise DomainError(f"panels must be a positive integer, got {self.panels}")
-        if int(self.nodes_per_panel) != self.nodes_per_panel or self.nodes_per_panel < 2:
-            raise DomainError(f"nodes_per_panel must be an integer >= 2, got {self.nodes_per_panel}")
+        # stored as ints, so 7.0 and 7 make one rule (and one cache key)
+        object.__setattr__(self, "panels", _require_count("panels", self.panels, 1))
+        object.__setattr__(self, "nodes_per_panel",
+                           _require_count("nodes_per_panel", self.nodes_per_panel, 2))
         if not 0.0 < self.grading < 1.0:
             raise DomainError(f"grading must lie in (0, 1), got {self.grading}")
 

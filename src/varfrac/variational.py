@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import (Interval, Rect2, SeparableFn2, SmoothFn1, SmoothFn2, VariableOrder,
-                     _as_array_fn, _fd_derivative, _sum_products)
+                     _as_array_fn, _fd_derivative, _require_count, _sum_products)
 from .errors import DomainError, ValidityError
 from .operators import OpKind, factor_op, partial_op
 from .optimize import MinimizeResult, minimize_bfgs
@@ -224,14 +224,6 @@ def _sine(j: int, iv: Interval) -> SmoothFn1:
     e = np.eye(1, j, j - 1)
     return SmoothFn1(lambda s: _sines(e, iv, 0, s)[0], lambda s: _sines(e, iv, 1, s)[0],
                      check=False)
-
-
-def _require_count(name: str, value, least: int):
-    """int(value); DomainError unless value is an integer >= least (0 or 1)."""
-    if not (np.isfinite(value) and value >= least and int(value) == value):
-        kind = "positive" if least else "non-negative"
-        raise DomainError(f"{name} must be a {kind} integer, got {value}")
-    return int(value)
 
 
 class RitzExpansion(SeparableFn2):

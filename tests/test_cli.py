@@ -455,6 +455,40 @@ class TestCommandResolution:
         assert "missing" in err
 
 
+_OP = {"kind": "I_left", "f": "tau", "alpha": "0.5", "a": 0.0, "b": 1.0, "grid": [0.5]}
+_PARTIAL = {"kind": "I_left", "axis": 1, "f": "t1*t2", "alpha": "0.5", "points": [[0.5, 0.5]],
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1}}
+_SOLVE = {"lagrangian": "string", "psi": 0.0, "alpha1": "0.4", "alpha2": "0.4",
+          "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1}, "n_modes": 1, "outer_grid": 8,
+          "el_grid": 0}
+_VERIFY = {"identity": "ibp", "f": "0", "g": "0", "eta1": "0", "eta2": "0",
+           "alpha1": "0.4", "alpha2": "0.4", "l1": 3, "l2": 3,
+           "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1}, "ladder": [[8, 8]]}
+
+
+class TestMalformedConfigValue:
+    @pytest.mark.parametrize("command, config, key", [
+        ("op", dict(_OP, kind="I_sideways"), "kind"),
+        ("op", dict(_OP, a="zero"), "a"),
+        ("op", dict(_OP, grid=5), "grid"),
+        ("op", dict(_PARTIAL, points=[["x", 0.5]]), "points"),
+        ("op", dict(_PARTIAL, points=[[0.3, 0.6, 0.5]]), "points"),
+        # two one-coordinate lists are not the one point (0.3, 0.6)
+        ("op", dict(_PARTIAL, points=[[0.3], [0.6]]), "points"),
+        ("solve", dict(_SOLVE, bound_mode="sideways"), "bound_mode"),
+        ("solve", dict(_SOLVE, tension="taut"), "tension"),
+        ("solve", dict(_SOLVE, psi="1"), "psi"),
+        ("verify", dict(_VERIFY, tolerance="tight"), "tolerance"),
+        ("verify", dict(_VERIFY, rect=[0, 1, 0, 1]), "rect"),
+        ("verify", [1, 2], "config"),
+    ])
+    def test_exit_2_with_one_line_naming_the_key(self, tmp_path, capsys, command, config, key):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: {key} ") and err.count("\n") == 1
+
+
 class TestSelftest:
     def test_passes_and_is_deterministic_across_threads(self, capsys):
         code1, out1, _ = run_cli(capsys, ["selftest", "--threads", "1"])

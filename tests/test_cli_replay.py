@@ -3,9 +3,9 @@
 The tool reads the README's example configs and builds the benchmark's
 ``verify_cli`` and ``solve`` tasks through ``perfbench/workloads.py``, so a
 README edit or a change of that module's interface can break it silently.
-This runs the first call of each part of the corpus and the RL ``op``
-and lifted ``solve`` calls, and checks the two ways the tool prints a
-call: its sha256 line and its ``--raw`` block.
+This runs the first call of each part of the corpus and the RL, failing
+``op`` and lifted ``solve`` calls, and checks the two ways the tool prints
+a call: its sha256 line and its ``--raw`` block.
 """
 
 import hashlib
@@ -50,6 +50,21 @@ def test_stencil_ops_reach_the_regular_ends(replay_tool, tmp_path):
         assert len(rows) == len(config["grid"] if "grid" in config else config["points"])
         end = 1.0 if config["kind"] == "D_rl_left" else 0.0
         assert any(float(row.split(",")[-2]) == end for row in rows)
+
+
+def test_fault_ops_name_the_first_faulty_point(replay_tool, tmp_path):
+    # exit 3 with one stderr line, naming the listed order's first faulty
+    # point: the second of the partial op, the 0.89999 stencil of the RL one
+    calls = itertools.takewhile(lambda call: not call[0].startswith("selftest/"),
+                                replay_tool.replay(tmp_path))
+    calls = [call for call in calls if call[0].startswith("fault/")]
+    assert [name for name, *_ in calls] == [name for name, _ in replay_tool.FAULT_OPS]
+    ends = ("(t, tau) = (0.6, 0.444129) [side=left, weight=integral], t1 = 0.3\n",
+            "(t, tau) = (0.90009, 0.900033) [side=left, weight=derivative]\n")
+    for (name, code, out, err), end in zip(calls, ends):
+        assert (code, out) == (3, "") and err.count("\n") == 1
+        assert err.startswith("validity error: integrand value nan is not finite at ")
+        assert err.endswith(end)
 
 
 def test_solve_configs_have_a_lift_and_a_residual(replay_tool, tmp_path):

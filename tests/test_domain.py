@@ -63,6 +63,11 @@ class TestVariableOrder:
         with pytest.raises(ValidityError):
             VariableOrder.constant(0.5, UNIT, l=1)
 
+    @pytest.mark.parametrize("l", [float("nan"), float("inf"), "3"])
+    def test_non_finite_or_non_numeric_l_is_a_validity_error(self, l):
+        with pytest.raises(ValidityError, match=r"^bound parameter l must be an integer >= 2"):
+            VariableOrder.constant(0.5, UNIT, l=l)
+
     def test_validate_off_allows_bad_orders(self):
         a = VariableOrder(lambda t, tau: 0.2 + 0.9 * t, UNIT, validate=False)
         assert a(1.0, 0.0) == pytest.approx(1.1)

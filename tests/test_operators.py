@@ -704,3 +704,60 @@ class TestNonFinite:
                                                 r"\(t, tau\) = \(0\.95, ") as batch:
             partial_op(OpKind.I_LEFT, 2, f, alpha, grid, UNIT_RECT)
         assert str(batch.value) == str(one.value)
+
+
+class TestFaultRerun:
+    """A non-finite integrand value in a batched call is named by re-running
+    its point alone, first in the caller's order."""
+
+    # along axis 2 the batches run per t2, the caller's order per t1: the
+    # section at t1 > 0.5 is NaN below tau = 0.7, at t1 < 0.5 above it, so
+    # the first batch holds the caller's first point, clean, and a faulty one
+    GRID = (np.array([0.2, 0.8, 0.3])[:, None], np.array([0.2, 0.5, 0.9, 0.95])[None, :])
+    FAULTY = SmoothFn2(lambda t1, t2: np.sqrt((t2 - 0.7) * (t1 - 0.5)), check=False)
+
+    @pytest.fixture
+    def small_batches(self, monkeypatch):
+        # two integrands x one point per batch: one grid row is two batches
+        monkeypatch.setattr(operators, "_BATCH_NODES", 2 * DEFAULT_QUAD.range_nodes)
+
+    @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.D_CAP_LEFT, OpKind.D_RL_LEFT])
+    def test_faults_in_several_batches_name_the_callers_first(self, kind, small_batches):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidityError) as one:
+                partial_op(kind, 2, self.FAULTY, sr_alpha(), (0.2, 0.9), UNIT_RECT)
+            with pytest.raises(ValidityError) as batch:
+                partial_op(kind, 2, self.FAULTY, sr_alpha(), self.GRID, UNIT_RECT)
+        assert str(batch.value) == str(one.value)
+        assert str(one.value).endswith(", t1 = 0.2")
+
+    @pytest.mark.parametrize("kind", [OpKind.I_LEFT, OpKind.D_RL_LEFT])
+    def test_a_fault_costs_one_rule_more_than_the_batches(self, kind, small_batches,
+                                                          monkeypatch):
+        rules = []
+
+        class Spy(KernelRule):
+            def __init__(self, *args):
+                rules.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(operators, "KernelRule", Spy)
+        clean = SmoothFn2(lambda t1, t2: 1.0 + t1 * t2, check=False)
+        partial_op(kind, 2, clean, sr_alpha(), self.GRID, UNIT_RECT)
+        batches = len(rules)
+        rules.clear()
+        with np.errstate(invalid="ignore"), pytest.raises(ValidityError):
+            partial_op(kind, 2, self.FAULTY, sr_alpha(), self.GRID, UNIT_RECT)
+        assert batches > 2 and len(rules) == batches + 1
+
+    def test_factor_op_raises_the_rules_own_error(self):
+        # without a rank the first batch raises at once, with no frozen coordinate
+        f = SeparableFn2([(lambda s: np.sqrt(s - 0.5), lambda s: 1.0 + s)], UNIT_RECT)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidityError) as one:
+                left_rl_integral(lambda s: np.sqrt(s - 0.5), sr_alpha(), 0.0, 0.3)
+            with pytest.raises(ValidityError) as table:
+                operators.factor_op(OpKind.I_LEFT, 1, f, sr_alpha(), np.array([0.3, 0.8]),
+                                    UNIT_RECT)
+        assert str(table.value) == str(one.value)
+        assert str(one.value).startswith("integrand value nan is not finite at (t, tau) = (0.3, ")

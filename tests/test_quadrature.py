@@ -9,7 +9,7 @@ from varfrac import (DomainError, Interval, QuadConfig, Rect2, Side,
                      WeightShift, clustered_gl, left_rl_derivative,
                      line_integral_edge, right_caputo_derivative,
                      singular_integral, tensor_integral)
-from varfrac.quadrature import DEFAULT_QUAD, KernelRule
+from varfrac.quadrature import DEFAULT_QUAD, KernelRule, _unit_panel_nodes
 
 from conftest import UNIT, UNIT_RECT, mpgamma, random_poly1
 
@@ -25,10 +25,22 @@ class TestQuadConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"panels": 0}, {"nodes_per_panel": 1}, {"grading": 0.0}, {"grading": 1.0},
+        {"panels": float("nan")}, {"panels": float("inf")},
+        {"nodes_per_panel": float("nan")}, {"nodes_per_panel": float("inf")}, {"panels": "8"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             QuadConfig(**kwargs)
+
+    def test_integral_float_size_gives_the_int_rule(self):
+        # stored as an int, 7.0 builds the rule of 7 whatever the rule cache holds
+        _unit_panel_nodes.cache_clear()
+        cfg = QuadConfig(nodes_per_panel=7.0)
+        assert type(cfg.nodes_per_panel) is int and cfg == QuadConfig(nodes_per_panel=7)
+        spec = left_spec(VariableOrder.constant(0.5, UNIT))
+        a, b = (KernelRule(spec, 0.0, np.array([0.3, 0.9]), c)
+                for c in (cfg, QuadConfig(nodes_per_panel=7)))
+        assert a.weights.tobytes() == b.weights.tobytes() and a.tau.tobytes() == b.tau.tobytes()
 
 
 class TestSingularIntegral:

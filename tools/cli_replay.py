@@ -21,6 +21,10 @@ The corpus:
 * ``op`` configs of the RL derivatives (:data:`STENCIL_OPS`) at points
   where the central stencil fits and where it does not: a left one in the
   middle, near and at b, a right one near and at a, and a partial one;
+* ``op`` configs whose integrand meets a NaN (:data:`FAULT_OPS`), which
+  exit 3 naming the first faulty point in the listed order: a partial one
+  whose first point is clean and whose next two are not, and an RL one
+  where only some of a point's stencil integrals meet the NaN;
 * ``solve`` configs (:data:`SOLVE_CONFIGS`) with a nonzero boundary lift,
   three and four modes per axis and a stationarity residual grid, on
   non-unit rectangles with (t, tau)-varying orders;
@@ -67,6 +71,18 @@ STENCIL_OPS = (
                             "alpha": "0.4+0.1*t*tau",
                             "rect": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
                             "points": [[0.3, 0.5], [0.7, 0.99999], [1.0, 1.0]]}),
+)
+# (name, config) of the op calls that fail: (t1 - 0.5)^0.5 is NaN at the
+# 2nd and 3rd points, and (0.9 - tau)^0.5 under the stencil integrals of
+# 0.89999 that reach past 0.9, and under every one of 0.95
+FAULT_OPS = (
+    ("fault/op/I_left/axis2", {"kind": "I_left", "axis": 2, "f": "(t1-0.5)^0.5*(1+t2)",
+                               "alpha": "0.4+0.1*t*tau",
+                               "rect": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
+                               "points": [[0.8, 0.9], [0.3, 0.6], [0.2, 0.4]]}),
+    ("fault/op/D_rl_left", {"kind": "D_rl_left", "f": "(0.9-tau)^0.5*exp(tau)",
+                            "alpha": "0.3+0.2*t*tau+0.1*tau", "a": 0.0, "b": 1.0,
+                            "grid": [0.5, 0.89999, 0.95]}),
 )
 # (name, config) of the solve calls; the edges are those of 1 + t1*t2 + t2^2
 # on each rectangle
@@ -149,7 +165,7 @@ def replay(workdir: Path):
         path = workdir / f"readme_{command}.json"
         path.write_text(json.dumps(config))
         yield _cli(f"readme/{command}", [command, "--config", str(path)])
-    for name, config in STENCIL_OPS:
+    for name, config in STENCIL_OPS + FAULT_OPS:
         path = workdir / "stencil_op.json"
         path.write_text(json.dumps(config))
         yield _cli(name, ["op", "--config", str(path)])
