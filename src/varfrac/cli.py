@@ -48,11 +48,12 @@ def _int(value, name: str) -> int:
 
 
 def _num(value, name: str) -> float:
-    """``value`` as a float if it is a number; anything else is a parse
-    error naming ``name``."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
+    """``value`` as a float if it is a finite number; anything else, NaN
+    and infinities included, is a parse error naming ``name``."""
+    if (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max):
         return float(value)
-    raise ExpressionError(f"{name} must be a number, got {value!r}")
+    raise ExpressionError(f"{name} must be a finite number, got {value!r}")
 
 
 def _nums(value, name: str) -> list:
@@ -188,7 +189,7 @@ def _cmd_verify(config, args) -> int:
     ladder = [(_int(g, "ladder outer_grid"), _int(p, "ladder panels")) for g, p in ladder]
     rect = _build_rect(config["rect"])
     quad = _build_quad(config.get("quad"))
-    tolerance = args.tolerance if args.tolerance is not None \
+    tolerance = _num(args.tolerance, "--tolerance") if args.tolerance is not None \
         else _num(config.get("tolerance", 1e-5 if identity == "ibp" else 1e-4), "tolerance")
     mode = "above_one_over_l" if identity == "ibp" else "below_one_minus"
     alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)
@@ -205,7 +206,9 @@ def _cmd_verify(config, args) -> int:
     for level, (outer_grid, panels) in enumerate(ladder):
         cfg = QuadConfig(panels=panels, nodes_per_panel=quad.nodes_per_panel,
                          grading=quad.grading)
-        rep = verify(f, g, *etas, alpha1, alpha2, rect, outer_grid, cfg, tolerance)
+        # the Green C^1 probe's outcome does not depend on the rung: probe once
+        rep = verify(f, g, *etas, alpha1, alpha2, rect, outer_grid, cfg, tolerance,
+                     **({} if identity == "ibp" else {"probe": level == 0}))
         out.write(f"{level},{outer_grid},{panels},"
                   f"{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.residual)}\n")
     return 0 if abs(rep.residual) <= tolerance else 4
@@ -235,7 +238,8 @@ def _build_lagrangian(config, rect: Rect2) -> Lagrangian:
 def _build_psi(config, rect: Rect2) -> BoundaryData:
     psi = config.get("psi", 0.0)
     if isinstance(psi, (int, float)):
-        return BoundaryData.zero(rect) if psi == 0 else BoundaryData.constant(float(psi), rect)
+        psi = _num(psi, "psi")
+        return BoundaryData.zero(rect) if psi == 0 else BoundaryData.constant(psi, rect)
     psi = _obj(psi, "psi")
     return BoundaryData(
         compile_expression(psi["bottom"], ("t1",)),
@@ -254,7 +258,7 @@ def _cmd_solve(config, args) -> int:
     mode = config.get("bound_mode", "below_one_minus")
     alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)
     alpha2 = _build_alpha(config["alpha2"], rect.t2, _int(config.get("l2", 2), "l2"), mode)
-    opt_tol = args.tolerance if args.tolerance is not None \
+    opt_tol = _num(args.tolerance, "--tolerance") if args.tolerance is not None \
         else _num(config.get("opt_tol", 1e-7), "opt_tol")
     coeffs0 = config.get("coeffs0")
     report = ritz_solve(

@@ -151,8 +151,10 @@ def _apply(kind: OpKind, integrand, lead: int, alpha: VariableOrder, a: float, b
     raises the rule's own ValidityError.  With it, the (point, integrand)
     rows of such a value are NaN, an RL stencil carrying them into the
     derivative, and after the loop the non-finite results are re-run one
-    at a time, alone, in ``rank(i, j)`` order: the first that raises is
-    raised again, with ``where(i, j)`` appended if given.
+    at a time, alone, in ``rank(i, j)`` order: the first that raises, or
+    that is finite alone (an integrand that does not broadcast elementwise),
+    raises, with ``where(i, j)`` appended if given.  An overflow, non-finite
+    alone too, is returned.
     """
     left, rl = kind in _LEFT, kind in _RL
     # an empty range is allowed, and gives 0, everywhere but under an RL derivative
@@ -201,9 +203,12 @@ def _apply(kind: OpKind, integrand, lead: int, alpha: VariableOrder, a: float, b
     if rank is not None and not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))
         for p, q in bad[np.argsort(rank(*bad.T))]:
-            try:  # a non-finite result from finite values raises nothing
-                _apply(kind, lambda tau, i, c: integrand(tau, p + i, slice(q, q + 1)), 1,
-                       alpha, a, b, t[p:p + 1], cfg, h)
+            try:  # an overflow of finite values, non-finite alone too, is returned
+                alone = _apply(kind, lambda tau, i, c: integrand(tau, p + i, slice(q, q + 1)), 1,
+                               alpha, a, b, t[p:p + 1], cfg, h)
+                if np.isfinite(alone).all():
+                    raise ValidityError("integrand is not finite only when evaluated with other "
+                                        f"points, breaking elementwise broadcast, at t = {t[p]}")
             except ValidityError as exc:
                 raise ValidityError(f"{exc}, {where(p, q)}" if where else str(exc)) from None
     return out

@@ -10,6 +10,11 @@ that vanish identically on the boundary, minimized by BFGS with the exact
 gradient of the discretized functional, assembled from the Lagrangian's
 declared partials.
 
+L's arguments along a field u, ``(t1, t2, u, CapD1 u, CapD2 u)``, are
+built in one place, :func:`_slots`: J, its first variation and the
+Euler-Lagrange slot fields all evaluate L or its partials there.  The
+Ritz objective keeps the same tuple as tables affine in the coefficients.
+
 The Ritz search space satisfies the boundary condition exactly by
 construction, so the minimization is unconstrained.
 
@@ -300,24 +305,21 @@ class SolveReport:
         }
 
 
-def _caputo_pair(u2: SmoothFn2, alpha1: VariableOrder, alpha2: VariableOrder,
-                 rect: Rect2, cfg: QuadConfig):
-    d1 = lambda t1, t2: partial_op(OpKind.D_CAP_LEFT, 1, u2, alpha1, (t1, t2), rect, cfg)
-    d2 = lambda t1, t2: partial_op(OpKind.D_CAP_LEFT, 2, u2, alpha2, (t1, t2), rect, cfg)
-    return d1, d2
+def _slots(u, alpha1: VariableOrder, alpha2: VariableOrder, rect: Rect2, cfg: QuadConfig):
+    """The one builder of L's arguments along u: (t1, t2) -> (t1, t2, u,
+    CapD1 u, CapD2 u), the Caputo partials from :func:`partial_op`.
+    :func:`_ritz_objective` keeps the same tuple as affine tables."""
+    u2 = SmoothFn2.wrap(u)
+    cap = lambda axis, alpha, t: partial_op(OpKind.D_CAP_LEFT, axis, u2, alpha, t, rect, cfg)
+    return lambda t1, t2: (t1, t2, u2(t1, t2), cap(1, alpha1, (t1, t2)), cap(2, alpha2, (t1, t2)))
 
 
 def functional_eval(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
                     rect: Rect2, outer_grid: int = 20,
                     cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """J[u]: clustered tensor quadrature of L(t, u, CapD1 u, CapD2 u)."""
-    u2 = SmoothFn2.wrap(u)
-    cap1, cap2 = _caputo_pair(u2, alpha1, alpha2, rect, cfg)
-
-    def integrand(t1, t2):
-        return L.L(t1, t2, u2(t1, t2), cap1(t1, t2), cap2(t1, t2))
-
-    return tensor_integral(integrand, rect, outer_grid)
+    slots = _slots(u, alpha1, alpha2, rect, cfg)
+    return tensor_integral(lambda t1, t2: L.L(*slots(t1, t2)), rect, outer_grid)
 
 
 def string_action(sigma, tension: float, u, alpha1: VariableOrder,
@@ -339,14 +341,11 @@ def string_action(sigma, tension: float, u, alpha1: VariableOrder,
 
 def _composed_slot_fields(L: Lagrangian, u2: SmoothFn2, alpha1: VariableOrder,
                           alpha2: VariableOrder, rect: Rect2, cfg: QuadConfig):
-    """The fields t -> dL/du, dL/dd1, dL/dd2 evaluated along u."""
-    cap1, cap2 = _caputo_pair(u2, alpha1, alpha2, rect, cfg)
-
-    def make(partial):
-        return SmoothFn2(lambda t1, t2: partial(t1, t2, u2(t1, t2), cap1(t1, t2), cap2(t1, t2)),
-                         check=False)
-
-    return make(L.dL_du), make(L.dL_dd1), make(L.dL_dd2)
+    """The fields t -> dL/du, dL/dd1, dL/dd2 evaluated along u, at the
+    arguments built by :func:`_slots`, the one place that builds them."""
+    slots = _slots(u2, alpha1, alpha2, rect, cfg)
+    return tuple(SmoothFn2(lambda t1, t2, p=p: p(*slots(t1, t2)), check=False)
+                 for p in (L.dL_du, L.dL_dd1, L.dL_dd2))
 
 
 @dataclass
@@ -380,8 +379,7 @@ def el_residual(L: Lagrangian, u, alpha1: VariableOrder, alpha2: VariableOrder,
     positive integer.
     """
     _require_count("point_grid", point_grid, 1)
-    u2 = SmoothFn2.wrap(u)
-    f_u, f_d1, f_d2 = _composed_slot_fields(L, u2, alpha1, alpha2, rect, cfg)
+    f_u, f_d1, f_d2 = _composed_slot_fields(L, u, alpha1, alpha2, rect, cfg)
     g1 = rect.t1.interior_grid(point_grid)
     g2 = rect.t2.interior_grid(point_grid)
     p = (g1[:, None], g2[None, :])
@@ -421,16 +419,13 @@ def first_variation(L: Lagrangian, u, eta, alpha1: VariableOrder,
     Integrates dL/du * eta + dL/dd1 * CapD1 eta + dL/dd2 * CapD2 eta, the
     integrand of d/deps J[u + eps eta] at eps = 0.
     """
-    u2 = SmoothFn2.wrap(u)
     eta2 = SmoothFn2.wrap(eta)
     _check_zero_trace(eta2, rect)
-    cap1, cap2 = _caputo_pair(u2, alpha1, alpha2, rect, cfg)
-    ecap1, ecap2 = _caputo_pair(eta2, alpha1, alpha2, rect, cfg)
+    at_u, along = _slots(u, alpha1, alpha2, rect, cfg), _slots(eta2, alpha1, alpha2, rect, cfg)
 
     def integrand(t1, t2):
-        args = (t1, t2, u2(t1, t2), cap1(t1, t2), cap2(t1, t2))
-        return (L.dL_du(*args) * eta2(t1, t2) + L.dL_dd1(*args) * ecap1(t1, t2)
-                + L.dL_dd2(*args) * ecap2(t1, t2))
+        args, (_, _, e, e1, e2) = at_u(t1, t2), along(t1, t2)
+        return L.dL_du(*args) * e + L.dL_dd1(*args) * e1 + L.dL_dd2(*args) * e2
 
     return tensor_integral(integrand, rect, outer_grid)
 

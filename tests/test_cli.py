@@ -1,9 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from varfrac import identities
 from varfrac.cli import _parser, main
 
 from conftest import mpgamma
@@ -177,6 +179,25 @@ class TestVerifyCommand:
         })
         code, out, _ = run_cli(capsys, ["verify", "--config", cfg])
         assert code == 0
+
+    def test_green_probe_runs_at_the_first_rung_only(self, tmp_path, capsys, monkeypatch):
+        # the README's verify config as a Green identity: its 3 rungs probe the
+        # right co-integrals of g and of f once, and each row is the one a
+        # one-rung ladder, whose probe runs at that rung, prints
+        config = {"identity": "green", "f": "1+t1*t2", "g": "t1-t2^2", "eta": "t2+t1^2",
+                  "alpha1": "0.4+0.1*t", "alpha2": "0.5+0.1*tau", "l1": 3, "l2": 3,
+                  "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+                  "ladder": [[16, 16], [24, 24], [32, 32]], "tolerance": 1e-5}
+        probe, calls = identities._probe_c1, []
+        monkeypatch.setattr(identities, "_probe_c1", lambda *a: calls.append(a) or probe(*a))
+        _, out, _ = run_cli(capsys, ["verify", "--config", write_config(tmp_path, config)])
+        assert len(calls) == 2
+        rows = []
+        for rung in config["ladder"]:
+            cfg = write_config(tmp_path, dict(config, ladder=[rung]))
+            rows.append(run_cli(capsys, ["verify", "--config", cfg])[1].split("\n")[1])
+        assert out.split("\n")[1:4] == [f"{level}{row[1:]}" for level, row in enumerate(rows)]
+        assert len(calls) == 2 + 2 * 3
 
     def test_violated_bounds_exit_3(self, tmp_path, capsys):
         # alpha = 0.9 under the green regime with l = 2 requires alpha < 0.5
@@ -481,12 +502,26 @@ class TestMalformedConfigValue:
         ("verify", dict(_VERIFY, tolerance="tight"), "tolerance"),
         ("verify", dict(_VERIFY, rect=[0, 1, 0, 1]), "rect"),
         ("verify", [1, 2], "config"),
+        # a non-finite number is malformed too, not a value to compute with
+        ("verify", dict(_VERIFY, tolerance=math.nan), "tolerance"),
+        ("solve", dict(_SOLVE, opt_tol=math.nan), "opt_tol"),
+        ("op", dict(_OP, kind="D_rl_left", h=math.nan), "h"),
+        ("solve", dict(_SOLVE, coeffs0=[math.inf]), "coeffs0"),
+        ("solve", dict(_SOLVE, psi=math.nan), "psi"),
+        ("op", dict(_PARTIAL, points=[[0.3, -math.inf]]), "points"),
     ])
     def test_exit_2_with_one_line_naming_the_key(self, tmp_path, capsys, command, config, key):
         cfg = write_config(tmp_path, config)
         code, out, err = run_cli(capsys, [command, "--config", cfg])
         assert (code, out) == (2, "")
         assert err.startswith(f"parse error: {key} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, config", [("verify", _VERIFY), ("solve", _SOLVE)])
+    def test_a_nan_tolerance_flag_is_a_parse_error(self, tmp_path, capsys, command, config):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(capsys, [command, "--config", cfg, "--tolerance", "nan"])
+        assert (code, out) == (2, "")
+        assert err == "parse error: --tolerance must be a finite number, got nan\n"
 
 
 class TestSelftest:

@@ -4,10 +4,12 @@ The tool reads the README's example configs and builds the benchmark's
 ``verify_cli`` and ``solve`` tasks through ``perfbench/workloads.py``, so a
 README edit or a change of that module's interface can break it silently.
 This runs the first call of each part of the corpus and the RL, failing
-``op`` and lifted ``solve`` calls, and checks the two ways the tool prints
-a call: its sha256 line and its ``--raw`` block.
+``op``, failing Green probe and lifted ``solve`` calls and a variational
+replay, and checks the two ways the tool prints a call: its sha256 line
+and its ``--raw`` block.
 """
 
+import ast
 import hashlib
 import importlib.util
 import itertools
@@ -17,6 +19,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +68,26 @@ def test_fault_ops_name_the_first_faulty_point(replay_tool, tmp_path):
         assert (code, out) == (3, "") and err.count("\n") == 1
         assert err.startswith("validity error: integrand value nan is not finite at ")
         assert err.endswith(end)
+
+
+def test_green_probe_fault_exits_3_at_the_first_rung(replay_tool, tmp_path):
+    calls = itertools.takewhile(lambda call: not call[0].startswith("selftest/"),
+                                replay_tool.replay(tmp_path))
+    [(_, code, out, err)] = [call for call in calls
+                             if call[0] == replay_tool.GREEN_PROBE_FAULT[0]]
+    assert (code, out) == (3, "level,outer_grid,panels,lhs,rhs,residual\n")
+    assert err.startswith("validity error: integrand value nan is not finite at ")
+    assert err.count("\n") == 1
+
+
+def test_pinned_solves_replay_the_variational_layer(replay_tool, tmp_path):
+    # J, the first variation along each of the 4 modes, which vanishes at
+    # the minimizer, and the 2 x 2 residual values, one repr line each
+    solve, (name, code, out, err) = itertools.islice(replay_tool.solve_calls(301, tmp_path), 2)
+    assert solve[0] == "solve/301/0" and (name, code, err) == ("variational/301/0", 0, "")
+    J, fv, el = map(ast.literal_eval, out.splitlines())
+    assert math.isfinite(J) and len(fv) == 4 and max(map(abs, fv)) < 1e-6
+    assert np.shape(el) == (2, 2) and np.isfinite(el).all()
 
 
 def test_solve_configs_have_a_lift_and_a_residual(replay_tool, tmp_path):

@@ -761,3 +761,35 @@ class TestFaultRerun:
                                     UNIT_RECT)
         assert str(table.value) == str(one.value)
         assert str(one.value).startswith("integrand value nan is not finite at (t, tau) = (0.3, ")
+
+
+class TestBatchOnlyFault:
+    """An integrand that is not finite only when evaluated with other points
+    breaks the broadcast contract: its lone re-run is finite, so the batch
+    raises ValidityError naming the point instead of returning NaN."""
+
+    ALPHA = VariableOrder(lambda t, tau: 0.4 + 0.1 * t, UNIT)
+
+    def test_one_variable(self):
+        f = lambda tau: 1 + tau + (np.nan if np.shape(tau)[0] > 1 else 0.0)
+        with pytest.raises(ValidityError) as exc:
+            left_rl_integral(f, self.ALPHA, 0.0, np.array([0.3, 0.6]))
+        assert str(exc.value) == ("integrand is not finite only when evaluated with other "
+                                  "points, breaking elementwise broadcast, at t = 0.3")
+
+    def test_partial_op_names_the_frozen_coordinate(self):
+        # along axis 2 the points are the t2 rows, the frozen t1 the columns
+        f = SmoothFn2(lambda t1, t2: 1 + t1 * t2 + (np.nan if np.shape(t2)[0] > 1 else 0.0),
+                      check=False)
+        grid = (np.array([0.2, 0.8])[:, None], np.array([0.5, 0.9])[None, :])
+        with pytest.raises(ValidityError) as exc:
+            partial_op(OpKind.I_LEFT, 2, f, self.ALPHA, grid, UNIT_RECT)
+        assert str(exc.value).endswith("elementwise broadcast, at t = 0.5, t1 = 0.2")
+
+    def test_an_overflow_is_returned(self):
+        # finite values whose integral overflows are non-finite alone too
+        alpha = VariableOrder(lambda t, tau: 0.4 + 0.0 * t, Interval(0.0, 3.0))
+        with np.errstate(over="ignore"):
+            values = left_rl_integral(lambda tau: 1.7e308 + 0.0 * tau, alpha, 0.0,
+                                      np.array([0.1, 3.0]))
+        assert np.isfinite(values[0]) and values[1] == np.inf

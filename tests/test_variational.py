@@ -320,6 +320,33 @@ class TestFirstVariation:
             assert fv == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+class TestSlots:
+    """L's arguments along u are built once per integrand call: one outer
+    grid costs one Caputo partial per axis and field."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def spy(kind, axis, f, alpha, p, *args):
+            calls.append((kind, axis, f, np.broadcast(*p).shape))
+            return partial_op(kind, axis, f, alpha, p, *args)
+
+        monkeypatch.setattr(variational, "partial_op", spy)
+        return calls
+
+    def test_functional_eval_takes_two_partials(self, calls):
+        u = SmoothFn2(lambda t1, t2: t1 * t2 + t2 ** 2, check=False)
+        functional_eval(Lagrangian.quadratic(), u, A04, A05, UNIT_RECT, 6)
+        assert calls == [(OpKind.D_CAP_LEFT, 1, u, (6, 6)), (OpKind.D_CAP_LEFT, 2, u, (6, 6))]
+
+    def test_first_variation_takes_four_partials(self, calls):
+        eta = bubble_eta()
+        first_variation(Lagrangian.quadratic(), U_CONST, eta, A04, A05, UNIT_RECT, 6)
+        assert [(axis, f, shape) for _, axis, f, shape in calls] == [
+            (1, U_CONST, (6, 6)), (2, U_CONST, (6, 6)), (1, eta, (6, 6)), (2, eta, (6, 6))]
+
+
 class TestRitzSolve:
     def test_trivial_nonnegative_functional(self):
         rep = ritz_solve(Lagrangian.dirichlet(), BoundaryData.zero(UNIT_RECT),

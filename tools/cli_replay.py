@@ -25,13 +25,18 @@ The corpus:
   exit 3 naming the first faulty point in the listed order: a partial one
   whose first point is clean and whose next two are not, and an RL one
   where only some of a point's stencil integrals meet the NaN;
+* a Green ``verify`` config whose C^1 probe of the right co-integral of
+  g meets a NaN at the first rung (:data:`GREEN_PROBE_FAULT`), exit 3;
 * ``solve`` configs (:data:`SOLVE_CONFIGS`) with a nonzero boundary lift,
   three and four modes per axis and a stationarity residual grid, on
   non-unit rectangles with (t, tau)-varying orders;
 * ``selftest --seed 0`` and ``selftest --seed 5``;
 * the ``verify_cli`` benchmark configs of seeds 301 and 302;
 * ``repr(ritz_solve(...).to_json_dict())`` of the ``solve`` benchmark
-  tasks of seeds 301 and 302.
+  tasks of seeds 301 and 302, and for the first :data:`PINNED_SOLVES` of
+  each seed the variational layer at the solution: J as the benchmark's
+  oracle computes it, the first variation along each mode and the
+  Euler-Lagrange residual values on a 2 x 2 grid, one ``repr`` line each.
 
 The benchmark inputs, and the calls made on them, come from
 ``perfbench/workloads.py``, imported and never written to.  CLI calls run
@@ -84,6 +89,12 @@ FAULT_OPS = (
                             "alpha": "0.3+0.2*t*tau+0.1*tau", "a": 0.0, "b": 1.0,
                             "grid": [0.5, 0.89999, 0.95]}),
 )
+# the Green probe of the right co-integral of g = ln(t1 - 0.5) meets a NaN
+GREEN_PROBE_FAULT = ("probe/verify/green",
+                     {"identity": "green", "f": "1+t1*t2", "g": "ln(t1-0.5)", "eta": "t2+t1^2",
+                      "alpha1": "0.4+0.1*t", "alpha2": "0.5+0.1*tau", "l1": 3, "l2": 3,
+                      "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
+                      "ladder": [[8, 8], [12, 12]]})
 # (name, config) of the solve calls; the edges are those of 1 + t1*t2 + t2^2
 # on each rectangle
 SOLVE_CONFIGS = (
@@ -101,6 +112,7 @@ SOLVE_CONFIGS = (
                        "n_modes": 4, "outer_grid": 14, "el_grid": 2}),
 )
 _SAME = lambda fn: fn  # the benchmark's tracing hook, here a no-op
+PINNED_SOLVES = 6  # solve tasks per seed whose solution the variational layer replays
 
 
 def _sha(text: str) -> str:
@@ -148,15 +160,32 @@ def verify_calls(seed: int, workdir: Path):
         yield f"verify_cli/{seed}/{i}", code, out, err.getvalue()
 
 
+def _variational(task, report) -> str:
+    """J, the first variation along each mode and the Euler-Lagrange
+    residual values at the solution of a ``solve`` task, a line each."""
+    lagr, _, alpha1, alpha2, rect = task.problem
+    u = report.expansion
+    fv = [varfrac.first_variation(lagr, u, u.mode_fn(b), alpha1, alpha2, rect,
+                                  workloads.SOLVE_OUTER) for b in range(len(u.modes))]
+    el = varfrac.el_residual(lagr, u, alpha1, alpha2, rect, 2,
+                             varfrac.QuadConfig(*workloads.SOLVE_EL_QUAD))
+    return (f"{workloads.solve_reference(varfrac, task, report)!r}\n{fv!r}\n"
+            f"{el.values.tolist()!r}\n")
+
+
 def solve_calls(seed: int, workdir: Path):
-    """Yield a call per ``solve`` benchmark task of ``seed``."""
+    """Yield a call per ``solve`` benchmark task of ``seed``, each of the
+    first :data:`PINNED_SOLVES` followed by one of :func:`_variational`."""
     for i, task in enumerate(workloads.solve_build(varfrac, workloads.solve_specs(seed),
                                                    _SAME, workdir)):
         try:
-            out, code = repr(task.run().to_json_dict()), 0
+            report = task.run()
+            out, code = repr(report.to_json_dict()), 0
         except varfrac.VarfracError as exc:
-            out, code = f"{type(exc).__name__}: {exc}", 1
+            report, out, code = None, f"{type(exc).__name__}: {exc}", 1
         yield f"solve/{seed}/{i}", code, out, ""
+        if report is not None and i < PINNED_SOLVES:
+            yield f"variational/{seed}/{i}", 0, _variational(task, report), ""
 
 
 def replay(workdir: Path):
@@ -169,6 +198,9 @@ def replay(workdir: Path):
         path = workdir / "stencil_op.json"
         path.write_text(json.dumps(config))
         yield _cli(name, ["op", "--config", str(path)])
+    path = workdir / "green_probe.json"
+    path.write_text(json.dumps(GREEN_PROBE_FAULT[1]))
+    yield _cli(GREEN_PROBE_FAULT[0], ["verify", "--config", str(path)])
     for name, config in SOLVE_CONFIGS:
         path = workdir / "solve.json"
         path.write_text(json.dumps(config))
