@@ -2,14 +2,26 @@
 ladders, variational solving, and a bundled self-test.
 
 Configuration comes from a single JSON file (``--config``) plus flag
-overrides.  Numeric output uses 17-significant-digit formatting, which
-round-trips every double exactly.  Evaluation is serial; ``--threads`` is
-accepted for compatibility and ignored, so output does not depend on it.
+overrides.  Each command reads its config once, against one key table per
+shape: ``op`` with ``axis`` (``rect``, ``points``, ``f_d1``/``f_d2``) or
+without (``a``, ``b``, ``grid``, ``f_d``), ``verify`` per identity
+(``eta1``/``eta2`` for ``ibp``, ``eta`` for ``green``), and ``solve``, whose
+``"string"`` Lagrangian alone reads ``sigma`` and ``tension``.  Nested
+objects have tables of their own: ``rect``, ``quad``, the ``grid`` object,
+an order object, the ``psi`` object and the Lagrangian object.  A table
+maps each key to its converter and its default, or marks it required; a
+key outside the table is a parse error that names it.  Every command
+accepts the keys ``command`` and ``threads`` and ignores them.  An
+expression key takes an expression string or a finite number.
 
-Exit codes: 0 ok, 2 parse error (config file, config value or
-expression), 3 validity error (order bounds, hypotheses, domains), 4
-identity residual above tolerance or failed self-test property, 5
-optimizer did not reach its tolerance.
+Numeric output uses 17-significant-digit formatting, which round-trips
+every double exactly.  Evaluation is serial; ``--threads`` is accepted for
+compatibility and ignored, so output does not depend on it.
+
+Exit codes: 0 ok, 2 parse error (config file, unknown or missing key,
+config value or expression), 3 validity error (order bounds, hypotheses,
+domains), 4 identity residual above tolerance or failed self-test
+property, 5 optimizer did not reach its tolerance.
 """
 
 from __future__ import annotations
@@ -47,11 +59,15 @@ def _int(value, name: str) -> int:
     raise ExpressionError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
 def _num(value, name: str) -> float:
     """``value`` as a float if it is a finite number; anything else, NaN
     and infinities included, is a parse error naming ``name``."""
-    if (not isinstance(value, bool) and isinstance(value, (int, float))
-            and abs(value) <= sys.float_info.max):
+    if _finite(value):
         return float(value)
     raise ExpressionError(f"{name} must be a finite number, got {value!r}")
 
@@ -63,7 +79,7 @@ def _nums(value, name: str) -> list:
     return [_num(v, f"{name} entry") for v in value]
 
 
-def _points(value) -> np.ndarray:
+def _points(value, name: str) -> np.ndarray:
     """The ``points`` list of [t1, t2] pairs as an (n, 2) array."""
     if not isinstance(value, list) or any(not isinstance(p, list) or len(p) != 2 for p in value):
         raise ExpressionError(f"points must be a list of [t1, t2] pairs, got {value!r}")
@@ -77,99 +93,186 @@ def _obj(value, name: str) -> dict:
     return value
 
 
-def _choice(value, enum_cls, name: str):
-    """The member of ``enum_cls`` whose value is ``value``."""
-    try:
-        return enum_cls(value)
-    except ValueError:
-        expected = ", ".join(repr(m.value) for m in enum_cls)
-        raise ExpressionError(f"{name} must be one of {expected}, got {value!r}") from None
+def _choice(enum_cls):
+    """The converter of a key naming a member of ``enum_cls`` by its value."""
+    def convert(value, name: str):
+        try:
+            return enum_cls(value)
+        except ValueError:
+            expected = ", ".join(repr(m.value) for m in enum_cls)
+            raise ExpressionError(f"{name} must be one of {expected}, got {value!r}") from None
+    return convert
 
 
-def _build_quad(cfg_obj) -> QuadConfig:
-    if not cfg_obj:
-        return DEFAULT_QUAD
-    cfg_obj = _obj(cfg_obj, "quad")
-    return QuadConfig(
-        panels=_int(cfg_obj.get("panels", DEFAULT_QUAD.panels), "panels"),
-        nodes_per_panel=_int(cfg_obj.get("nodes_per_panel", DEFAULT_QUAD.nodes_per_panel),
-                             "nodes_per_panel"),
-        grading=_num(cfg_obj.get("grading", DEFAULT_QUAD.grading), "grading"),
-    )
+def _expr(*variables):
+    """The converter of an expression key over ``variables``: an expression
+    string, or a finite number for a constant."""
+    def convert(value, name: str):
+        if not (isinstance(value, str) or _finite(value)):
+            raise ExpressionError(f"{name} must be an expression string or a finite number, "
+                                  f"got {value!r}")
+        return compile_expression(str(value), variables)
+    return convert
 
 
-def _build_alpha(spec, interval: Interval, default_l: int = 2,
-                 default_mode: str = "plain") -> VariableOrder:
-    """Order function from an expression string or {expr, l, bound_mode} object."""
-    if isinstance(spec, dict):
-        expr_src = spec["expr"]
-        l = _int(spec.get("l", default_l), "l")
-        mode = _choice(spec.get("bound_mode", default_mode), BoundMode, "bound_mode")
-    else:
-        expr_src = str(spec)
-        l = default_l
-        mode = _choice(default_mode, BoundMode, "bound_mode")
-    expr = compile_expression(expr_src, ("t", "tau"))
-    return VariableOrder(expr, interval, l=l, bound_mode=mode)
+def _read(obj, table: dict, name: str) -> dict:
+    """Every key of ``table`` read from the JSON object ``obj``.
+
+    ``table`` maps a key to its converter and its default, or to
+    ``_REQUIRED`` for a key that must be given.  A key outside the table
+    is a parse error naming it; then an absent required key is a
+    KeyError.  Each value, or else its default, goes through the
+    converter.  A key whose default is null is optional: absent or null,
+    it reads as None.
+    """
+    obj = _obj(obj, name)
+    for key in obj:
+        if key not in table:
+            raise ExpressionError(f"{key} is not a key of {name}; expected one of "
+                                  + ", ".join(table))
+    for key, (_, default) in table.items():
+        if default is _REQUIRED and key not in obj:
+            raise KeyError(key)
+    return {key: None if default is None and obj.get(key) is None
+            else convert(obj.get(key, default), key) for key, (convert, default) in table.items()}
 
 
-def _build_rect(obj) -> Rect2:
-    obj = _obj(obj, "rect")
-    return Rect2.of(*(_num(obj[key], key) for key in ("a1", "b1", "a2", "b2")))
+def _any(value, name: str):
+    """A key accepted as given: ``command``, which ``main`` reads, ``threads``, which
+    nothing reads, and ``identity``, which ``verify`` reads to pick its table."""
+    return value
 
 
-def _fn2_from_config(config, name: str) -> SmoothFn2:
-    value = compile_expression(config[name], ("t1", "t2"))
-    d1 = config.get(name + "_d1")
-    d2 = config.get(name + "_d2")
-    return SmoothFn2(
-        value,
-        None if d1 is None else compile_expression(d1, ("t1", "t2")),
-        None if d2 is None else compile_expression(d2, ("t1", "t2")),
-        check=False,
-    )
+def _table(table: dict, build):
+    """The converter of a JSON object read against ``table``, then passed to ``build``."""
+    return lambda value, name: build(**_read(value, table, name))
+
+
+def _order_spec(value, name: str) -> dict:
+    """An order key: an expression in (t, tau), or an {expr, l, bound_mode} object."""
+    if isinstance(value, dict):
+        return _read(value, _ORDER, name)
+    return {"expr": _TTAU(value, name), "l": None, "bound_mode": None}
+
+
+def _grid(value, name: str):
+    """The ``grid`` key: a list of points, or a {values} or {count, start, stop} object."""
+    return _nums(value, name) if isinstance(value, list) else _read(value, _GRID, name)
+
+
+def _ladder(value, name: str) -> list:
+    """The ``ladder`` key: a non-empty list of [outer_grid, panels] rungs."""
+    if not value:
+        raise ExpressionError("ladder has no rungs; expected [[outer_grid, panels], ...]")
+    if not isinstance(value, list) or any(not isinstance(r, list) or len(r) != 2
+                                          for r in value):
+        raise ExpressionError(f"ladder {value!r} is not a list of [outer_grid, panels] rungs")
+    return [(_int(g, "ladder outer_grid"), _int(p, "ladder panels")) for g, p in value]
+
+
+def _quad(value, name: str) -> QuadConfig:
+    """The ``quad`` key: a {panels, nodes_per_panel, grading} object, or
+    null (any false value) for the default rule."""
+    return QuadConfig(**_read(value, _QUAD, name)) if value else DEFAULT_QUAD
+
+
+def _psi(value, name: str):
+    """The ``psi`` key: a constant, or a {bottom, right, top, left} object."""
+    return _num(value, name) if isinstance(value, (int, float)) else _read(value, _PSI, name)
+
+
+def _lagrangian(value, name: str):
+    """The ``lagrangian`` key: a preset name, or an {L, dL_du, dL_dd1, dL_dd2} object."""
+    if isinstance(value, dict):
+        return _read(value, _LAGRANGIAN, name)
+    if value in ("quadratic", "string"):
+        return value
+    raise ExpressionError(f"unknown lagrangian preset {value!r}")
+
+
+def _field(name: str) -> dict:
+    """The keys of a field ``name`` over (t1, t2) and of its optional partials."""
+    return {name: (_T1T2, _REQUIRED), name + "_d1": (_T1T2, None), name + "_d2": (_T1T2, None)}
+
+
+_REQUIRED = object()  # the default of a key that must be given
+_TTAU, _T1T2 = _expr("t", "tau"), _expr("t1", "t2")
+_MODE = _choice(BoundMode)
+_RECT = {key: (_num, _REQUIRED) for key in ("a1", "b1", "a2", "b2")}
+_QUAD = {"panels": (_int, DEFAULT_QUAD.panels),
+         "nodes_per_panel": (_int, DEFAULT_QUAD.nodes_per_panel),
+         "grading": (_num, DEFAULT_QUAD.grading)}
+_GRID = {"values": (_nums, None), "count": (_int, 0), "start": (_num, None), "stop": (_num, None)}
+_ORDER = {"expr": (_TTAU, _REQUIRED), "l": (_int, None), "bound_mode": (_MODE, None)}
+_PSI = {"bottom": (_expr("t1"), _REQUIRED), "right": (_expr("t2"), _REQUIRED),
+        "top": (_expr("t1"), _REQUIRED), "left": (_expr("t2"), _REQUIRED)}
+_LAGRANGIAN = {key: (_expr("t1", "t2", "u", "d1", "d2"), _REQUIRED)
+               for key in ("L", "dL_du", "dL_dd1", "dL_dd2")}
+# the key tables of the commands, one per shape
+_COMMON = {"command": (_any, None), "threads": (_any, None),
+           "quad": (_quad, {})}
+_OP = {**_COMMON, "kind": (_choice(OpKind), _REQUIRED), "alpha": (_order_spec, _REQUIRED),
+       "l": (_int, 2), "bound_mode": (_MODE, "plain"), "h": (_num, None)}
+_OP_AXIS = {**_OP, "axis": (_int, _REQUIRED), "rect": (_table(_RECT, Rect2.of), _REQUIRED),
+            **_field("f"), "points": (_points, [])}
+_OP_INTERVAL = {**_OP, "a": (_num, _REQUIRED), "b": (_num, _REQUIRED),
+                "f": (_expr("tau"), _REQUIRED), "f_d": (_expr("tau"), None), "grid": (_grid, [])}
+_TWO_ORDERS = {"rect": _OP_AXIS["rect"], "alpha1": (_order_spec, _REQUIRED),
+               "alpha2": (_order_spec, _REQUIRED), "l1": (_int, 2), "l2": (_int, 2)}
+_VERIFY = {**_COMMON, **_TWO_ORDERS, "identity": (_any, _REQUIRED),
+           "ladder": (_ladder, [[16, 16], [24, 24], [32, 32]]), **_field("f"), **_field("g")}
+# per identity: its key table, the orders' bound mode, its verifier and its test fields
+_IDENTITIES = {
+    "ibp": ({**_VERIFY, "tolerance": (_num, 1e-5), **_field("eta1"), **_field("eta2")},
+            BoundMode.ABOVE_ONE_OVER_L, verify_ibp, ("eta1", "eta2")),
+    "green": ({**_VERIFY, "tolerance": (_num, 1e-4), **_field("eta")},
+              BoundMode.BELOW_ONE_MINUS, verify_green, ("eta",)),
+}
+_SOLVE = {**_COMMON, **_TWO_ORDERS, "bound_mode": (_MODE, "below_one_minus"),
+          "lagrangian": (_lagrangian, "quadratic"), "psi": (_psi, 0.0),
+          "opt_tol": (_num, 1e-7), "n_modes": (_int, 4), "outer_grid": (_int, 16),
+          "max_iter": (_int, 500), "el_grid": (_int, 4), "coeffs0": (_nums, None)}
+_SOLVE_STRING = {**_SOLVE, "sigma": (_expr("t2"), "1"), "tension": (_num, 1.0)}
+
+
+def _order(cfg: dict, n: str, interval: Interval, mode: BoundMode) -> VariableOrder:
+    """The order ``alpha<n>`` of ``cfg`` on ``interval``, with ``l<n>`` and
+    ``mode`` unless an order object gives its own ``l`` or ``bound_mode``."""
+    spec = cfg["alpha" + n]
+    return VariableOrder(spec["expr"], interval,
+                         l=cfg["l" + n] if spec["l"] is None else spec["l"],
+                         bound_mode=mode if spec["bound_mode"] is None else spec["bound_mode"])
+
+
+def _fn2(cfg: dict, name: str) -> SmoothFn2:
+    return SmoothFn2(cfg[name], cfg[name + "_d1"], cfg[name + "_d2"], check=False)
 
 
 def _cmd_op(config, args) -> int:
-    kind = _choice(config["kind"], OpKind, "kind")
-    quad = _build_quad(config.get("quad"))
-    h = config.get("h")
-    h = None if h is None else _num(h, "h")
+    axis = "axis" in config
+    cfg = _read(config, _OP_AXIS if axis else _OP_INTERVAL,
+                "op with axis" if axis else "op without axis")
     out = sys.stdout
 
-    if "axis" in config:  # two-variable partial operator
-        axis = _int(config["axis"], "axis")
-        rect = _build_rect(config["rect"])
-        alpha = _build_alpha(config["alpha"], rect.axis(axis),
-                             _int(config.get("l", 2), "l"), config.get("bound_mode", "plain"))
-        f = _fn2_from_config(config, "f")
-        points = _points(config.get("points", []))
-        values = partial_op(kind, axis, f, alpha, points.T, rect, quad, h)
+    if axis:  # two-variable partial operator
+        rect, points = cfg["rect"], cfg["points"]
+        alpha = _order(cfg, "", rect.axis(cfg["axis"]), cfg["bound_mode"])
+        values = partial_op(cfg["kind"], cfg["axis"], _fn2(cfg, "f"), alpha,
+                            points.T, rect, cfg["quad"], cfg["h"])
         out.write("t1,t2,value\n")
         for (t1, t2), v in zip(points, values):
             out.write(f"{_fmt(t1)},{_fmt(t2)},{_fmt(v)}\n")
         return 0
 
-    a, b = _num(config["a"], "a"), _num(config["b"], "b")
-    interval = Interval(a, b)
-    alpha = _build_alpha(config["alpha"], interval,
-                         _int(config.get("l", 2), "l"), config.get("bound_mode", "plain"))
-    fexpr = compile_expression(config["f"], ("tau",))
-    dexpr = config.get("f_d")
-    f = SmoothFn1(fexpr,
-                  None if dexpr is None else compile_expression(dexpr, ("tau",)),
-                  check=False)
-    grid_obj = config.get("grid", {})
-    if isinstance(grid_obj, list):
-        grid = _nums(grid_obj, "grid")
-    elif "values" in _obj(grid_obj, "grid"):
-        grid = _nums(grid_obj["values"], "grid values")
-    else:
-        count = _int(grid_obj.get("count", 0), "count")
-        grid = list(np.linspace(_num(grid_obj.get("start", a), "start"),
-                                _num(grid_obj.get("stop", b), "stop"), count)) if count else []
+    a, b, grid = cfg["a"], cfg["b"], cfg["grid"]
+    alpha = _order(cfg, "", Interval(a, b), cfg["bound_mode"])
+    f = SmoothFn1(cfg["f"], cfg["f_d"], check=False)
+    if isinstance(grid, dict):  # its start and stop default to a and b
+        grid = grid["values"] if grid["values"] is not None else list(np.linspace(
+            a if grid["start"] is None else grid["start"],
+            b if grid["stop"] is None else grid["stop"], grid["count"]))
 
-    values = interval_op(kind, f, alpha, a, b, grid, quad, h)
+    values = interval_op(cfg["kind"], f, alpha, a, b, grid, cfg["quad"], cfg["h"])
     out.write("t,value\n")
     for t, v in zip(grid, values):
         out.write(f"{_fmt(t)},{_fmt(v)}\n")
@@ -178,104 +281,50 @@ def _cmd_op(config, args) -> int:
 
 def _cmd_verify(config, args) -> int:
     identity = config["identity"]
-    if identity not in ("ibp", "green"):
+    if identity not in ("ibp", "green"):  # a tuple, so an unhashable value is no TypeError
         raise ExpressionError(f"unknown identity {identity!r}; expected 'ibp' or 'green'")
-    ladder = config.get("ladder", [[16, 16], [24, 24], [32, 32]])
-    if not ladder:
-        raise ExpressionError("ladder has no rungs; expected [[outer_grid, panels], ...]")
-    if not isinstance(ladder, list) or any(not isinstance(r, list) or len(r) != 2
-                                           for r in ladder):
-        raise ExpressionError(f"ladder {ladder!r} is not a list of [outer_grid, panels] rungs")
-    ladder = [(_int(g, "ladder outer_grid"), _int(p, "ladder panels")) for g, p in ladder]
-    rect = _build_rect(config["rect"])
-    quad = _build_quad(config.get("quad"))
-    tolerance = _num(args.tolerance, "--tolerance") if args.tolerance is not None \
-        else _num(config.get("tolerance", 1e-5 if identity == "ibp" else 1e-4), "tolerance")
-    mode = "above_one_over_l" if identity == "ibp" else "below_one_minus"
-    alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)
-    alpha2 = _build_alpha(config["alpha2"], rect.t2, _int(config.get("l2", 2), "l2"), mode)
-
-    f = _fn2_from_config(config, "f")
-    g = _fn2_from_config(config, "g")
+    table, mode, verify, etas = _IDENTITIES[identity]
+    cfg = _read(config, table, f"verify {identity}")
+    rect, quad = cfg["rect"], cfg["quad"]
+    tolerance = cfg["tolerance"] if args.tolerance is None else _num(args.tolerance, "--tolerance")
+    alpha1, alpha2 = _order(cfg, "1", rect.t1, mode), _order(cfg, "2", rect.t2, mode)
+    fields = [_fn2(cfg, name) for name in ("f", "g") + etas]
 
     out = sys.stdout
     out.write("level,outer_grid,panels,lhs,rhs,residual\n")
-    etas = [_fn2_from_config(config, name)
-            for name in (("eta1", "eta2") if identity == "ibp" else ("eta",))]
-    verify = verify_ibp if identity == "ibp" else verify_green
-    for level, (outer_grid, panels) in enumerate(ladder):
-        cfg = QuadConfig(panels=panels, nodes_per_panel=quad.nodes_per_panel,
-                         grading=quad.grading)
+    for level, (outer_grid, panels) in enumerate(cfg["ladder"]):
+        rung = QuadConfig(panels=panels, nodes_per_panel=quad.nodes_per_panel,
+                          grading=quad.grading)
         # the Green C^1 probe's outcome does not depend on the rung: probe once
-        rep = verify(f, g, *etas, alpha1, alpha2, rect, outer_grid, cfg, tolerance,
+        rep = verify(*fields, alpha1, alpha2, rect, outer_grid, rung, tolerance,
                      **({} if identity == "ibp" else {"probe": level == 0}))
         out.write(f"{level},{outer_grid},{panels},"
                   f"{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.residual)}\n")
     return 0 if abs(rep.residual) <= tolerance else 4
 
 
-_L_VARS = ("t1", "t2", "u", "d1", "d2")
-
-
-def _build_lagrangian(config, rect: Rect2) -> Lagrangian:
-    spec = config.get("lagrangian", "quadratic")
-    if spec == "quadratic":
-        return Lagrangian.quadratic()
-    if spec == "string":
-        sigma = compile_expression(str(config.get("sigma", "1")), ("t2",))
-        return Lagrangian.string(sigma, _num(config.get("tension", 1.0), "tension"))
-    if isinstance(spec, dict):
-        return Lagrangian(
-            compile_expression(spec["L"], _L_VARS),
-            compile_expression(spec["dL_du"], _L_VARS),
-            compile_expression(spec["dL_dd1"], _L_VARS),
-            compile_expression(spec["dL_dd2"], _L_VARS),
-            rect=rect,
-        )
-    raise ExpressionError(f"unknown lagrangian preset {spec!r}")
-
-
-def _build_psi(config, rect: Rect2) -> BoundaryData:
-    psi = config.get("psi", 0.0)
-    if isinstance(psi, (int, float)):
-        psi = _num(psi, "psi")
-        return BoundaryData.zero(rect) if psi == 0 else BoundaryData.constant(psi, rect)
-    psi = _obj(psi, "psi")
-    return BoundaryData(
-        compile_expression(psi["bottom"], ("t1",)),
-        compile_expression(psi["right"], ("t2",)),
-        compile_expression(psi["top"], ("t1",)),
-        compile_expression(psi["left"], ("t2",)),
-        rect,
-    )
-
-
 def _cmd_solve(config, args) -> int:
-    rect = _build_rect(config["rect"])
-    quad = _build_quad(config.get("quad"))
-    lagr = _build_lagrangian(config, rect)
-    psi = _build_psi(config, rect)
-    mode = config.get("bound_mode", "below_one_minus")
-    alpha1 = _build_alpha(config["alpha1"], rect.t1, _int(config.get("l1", 2), "l1"), mode)
-    alpha2 = _build_alpha(config["alpha2"], rect.t2, _int(config.get("l2", 2), "l2"), mode)
-    opt_tol = _num(args.tolerance, "--tolerance") if args.tolerance is not None \
-        else _num(config.get("opt_tol", 1e-7), "opt_tol")
-    coeffs0 = config.get("coeffs0")
+    string = config.get("lagrangian") == "string"
+    cfg = _read(config, _SOLVE_STRING if string else _SOLVE,
+                "solve with the string lagrangian" if string else "solve")
+    rect, spec, psi = cfg["rect"], cfg["lagrangian"], cfg["psi"]
+    lagr = (Lagrangian.quadratic() if spec == "quadratic" else
+            Lagrangian.string(cfg["sigma"], cfg["tension"]) if string else
+            Lagrangian(*spec.values(), rect=rect))
+    psi = (BoundaryData(**psi, rect=rect) if isinstance(psi, dict) else
+           BoundaryData.zero(rect) if psi == 0 else BoundaryData.constant(psi, rect))
+    mode = cfg["bound_mode"]
+    opt_tol = cfg["opt_tol"] if args.tolerance is None else _num(args.tolerance, "--tolerance")
     report = ritz_solve(
-        lagr, psi, alpha1, alpha2, rect,
-        n_modes=_int(config.get("n_modes", 4), "n_modes"),
-        outer_grid=_int(config.get("outer_grid", 16), "outer_grid"),
-        cfg=quad,
-        opt_tol=opt_tol,
-        max_iter=_int(config.get("max_iter", 500), "max_iter"),
-        el_grid=_int(config.get("el_grid", 4), "el_grid"),
-        coeffs0=None if coeffs0 is None else _nums(coeffs0, "coeffs0"),
+        lagr, psi, _order(cfg, "1", rect.t1, mode), _order(cfg, "2", rect.t2, mode), rect,
+        n_modes=cfg["n_modes"], outer_grid=cfg["outer_grid"], cfg=cfg["quad"], opt_tol=opt_tol,
+        max_iter=cfg["max_iter"], el_grid=cfg["el_grid"], coeffs0=cfg["coeffs0"],
     )
     sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0 if report.converged else 5
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(config, args) -> int:
     ok = _selftest.run(sys.stdout, seed=args.seed)
     return 0 if ok else 4
 
@@ -328,13 +377,8 @@ def main(argv=None) -> int:
         # a non-finite value is reported by the library's finiteness checks
         # as a validity error, so numpy's floating-point warnings stay off
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if command == "op":
-                return _cmd_op(config, args)
-            if command == "verify":
-                return _cmd_verify(config, args)
-            if command == "solve":
-                return _cmd_solve(config, args)
-            return _cmd_selftest(args)
+            return {"op": _cmd_op, "verify": _cmd_verify, "solve": _cmd_solve,
+                    "selftest": _cmd_selftest}[command](config, args)
     except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

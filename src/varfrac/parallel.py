@@ -3,7 +3,7 @@
 No module of the library calls :func:`map_ordered` any more: fields are
 evaluated once on whole grids.  ``perfbench/tracing.py`` still imports
 and wraps it by name, so deleting it would fail
-``tests/test_benchmark_smoke.py``.  The benchmark refresh (ROADMAP item 3)
+``tests/test_benchmark_smoke.py``.  The benchmark refresh (ROADMAP item 1)
 removes that wrapper, and then this module.
 """
 

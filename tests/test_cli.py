@@ -325,7 +325,7 @@ class TestSolveCommand:
         # a config value is not an expression: no line or column to name
         cfg = write_config(tmp_path, {
             "lagrangian": "quadratic", "psi": 0.0, "alpha1": "0.4", "alpha2": "0.4",
-            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1}, "identity": "ibp",
+            "rect": {"a1": 0, "b1": 1, "a2": 0, "b2": 1},
             "n_modes": 1, "outer_grid": 8, "el_grid": 0, key: value,
         })
         assert run_cli(capsys, [command, "--config", cfg]) == (2, "", f"parse error: {message}\n")
@@ -501,6 +501,8 @@ class TestMalformedConfigValue:
         ("solve", dict(_SOLVE, psi="1"), "psi"),
         ("verify", dict(_VERIFY, tolerance="tight"), "tolerance"),
         ("verify", dict(_VERIFY, rect=[0, 1, 0, 1]), "rect"),
+        ("verify", dict(_VERIFY, identity=["ibp"]), "unknown"),
+        ("verify", dict(_VERIFY, identity={"ibp": 1}), "unknown"),
         ("verify", [1, 2], "config"),
         # a non-finite number is malformed too, not a value to compute with
         ("verify", dict(_VERIFY, tolerance=math.nan), "tolerance"),
@@ -509,6 +511,29 @@ class TestMalformedConfigValue:
         ("solve", dict(_SOLVE, coeffs0=[math.inf]), "coeffs0"),
         ("solve", dict(_SOLVE, psi=math.nan), "psi"),
         ("op", dict(_PARTIAL, points=[[0.3, -math.inf]]), "points"),
+        # a key outside the table of the command, of its shape or of its object
+        ("solve", dict(_SOLVE, outer_gird=40, el_grdi=0), "outer_gird"),
+        ("verify", dict(_VERIFY, ladders=[[4, 4]], tolerence=1e-30), "ladders"),
+        ("op", dict(_OP, grid={"cout": 3}), "cout"),
+        ("op", dict(_OP, points=[[0.5, 0.5]]), "points"),
+        ("op", dict(_OP, quad={"panel": 2}), "panel"),
+        ("op", dict(_OP, alpha={"expr": "0.4", "bound_mod": "above_one_over_l"}), "bound_mod"),
+        ("solve", dict(_SOLVE, lagrangian="quadratic", sigma="1+t2", tenson=3), "sigma"),
+        ("solve", dict(_SOLVE, tenson=3), "tenson"),
+        ("verify", dict(_VERIFY, rect={"a1": 0, "b1": 1, "a2": 0, "b3": 1}), "b3"),
+        ("solve", dict(_SOLVE, psi={"bottom": "0", "rigth": "0", "top": "0", "left": "0"}),
+         "rigth"),
+        ("solve", dict(_SOLVE, lagrangian={"L": "u^2", "dL_du": "2*u", "dL_dd1": "0",
+                                           "dL_d2": "0"}), "dL_d2"),
+        ("verify", dict(_VERIFY, eta="0"), "eta"),
+        ("op", dict(_PARTIAL, grid=[0.5]), "grid"),
+        # an expression key takes a string or a finite number, nothing else
+        ("op", dict(_OP, alpha=[0.4]), "alpha"),
+        ("op", dict(_OP, f=True), "f"),
+        ("op", dict(_PARTIAL, f_d1={"expr": "t2"}), "f_d1"),
+        ("solve", dict(_SOLVE, sigma=math.inf), "sigma"),
+        ("solve", dict(_SOLVE, psi={"bottom": None, "right": "0", "top": "0", "left": "0"}),
+         "bottom"),
     ])
     def test_exit_2_with_one_line_naming_the_key(self, tmp_path, capsys, command, config, key):
         cfg = write_config(tmp_path, config)
@@ -522,6 +547,80 @@ class TestMalformedConfigValue:
         code, out, err = run_cli(capsys, [command, "--config", cfg, "--tolerance", "nan"])
         assert (code, out) == (2, "")
         assert err == "parse error: --tolerance must be a finite number, got nan\n"
+
+
+class TestExpressionKeys:
+    @pytest.mark.parametrize("command, config, numbers", [
+        ("op", _OP, {"f": 1, "alpha": 0.4}),
+        ("op", dict(_PARTIAL, kind="D_cap_left"), {"f": 2, "f_d1": 0, "f_d2": 0}),
+        ("verify", _VERIFY, {"eta1": 0, "g_d2": 0}),
+        ("solve", dict(_SOLVE, psi={"bottom": "1", "right": "1", "top": "1", "left": "1"}),
+         {"psi": {"bottom": 1, "right": 1, "top": 1.0, "left": 1}, "sigma": 2}),
+        ("solve", dict(_SOLVE, lagrangian={"L": "d1^2+d2^2", "dL_du": "0", "dL_dd1": "2*d1",
+                                           "dL_dd2": "2*d2"}),
+         {"lagrangian": {"L": "d1^2+d2^2", "dL_du": 0, "dL_dd1": "2*d1", "dL_dd2": "2*d2"}}),
+    ])
+    def test_a_number_prints_the_bytes_of_its_string(self, tmp_path, capsys, command, config,
+                                                     numbers):
+        # "f": 1 reads as "f": "1"; psi edges and Lagrangian parts too
+        def as_strings(value):
+            return ({k: as_strings(v) for k, v in value.items()} if isinstance(value, dict)
+                    else str(value))
+
+        strings = write_config(tmp_path, {**config, **as_strings(numbers)})
+        expected = run_cli(capsys, [command, "--config", strings])
+        cfg = write_config(tmp_path, {**config, **numbers}, name="numbers.json")
+        assert expected[0] == 0 and run_cli(capsys, [command, "--config", cfg]) == expected
+
+
+_UNIT = {"a1": 0, "b1": 1, "a2": 0, "b2": 1}
+_QUAD_DEFAULTS = {"panels": 24, "nodes_per_panel": 10, "grading": 0.25}
+
+
+class TestEveryAcceptedKey:
+    # each shape's minimal config, and each key it accepts beyond it set to
+    # its default; command and threads are accepted and ignored, and a null
+    # quad is the default rule
+    @pytest.mark.parametrize("command, minimal, defaults", [
+        ("op", {"kind": "I_left", "f": "tau^2", "alpha": "0.3+0.1*t", "a": 0.0, "b": 1.0,
+                "grid": {"count": 3}},
+         {"command": "op", "threads": 2, "quad": _QUAD_DEFAULTS, "l": 2, "bound_mode": "plain",
+          "h": None, "f_d": None, "alpha": {"expr": "0.3+0.1*t", "l": 2, "bound_mode": "plain"},
+          "grid": {"count": 3, "start": 0.0, "stop": 1.0}}),
+        ("op", {"kind": "D_rl_left", "axis": 2, "f": "t1*t2^2", "alpha": "0.4",
+                "rect": _UNIT, "points": [[0.5, 0.5], [0.2, 0.9]]},
+         {"command": "op", "threads": 1, "quad": None, "l": 2, "bound_mode": "plain",
+          "h": None, "f_d1": None, "f_d2": None,
+          "alpha": {"expr": "0.4", "l": 2, "bound_mode": "plain"}}),
+        ("verify", {"identity": "ibp", "f": "1+t1", "g": "t2", "eta1": "t1*t2", "eta2": "1-t2",
+                    "alpha1": "0.6", "alpha2": "0.6+0.1*tau", "rect": _UNIT},
+         {"command": "verify", "threads": 1, "quad": _QUAD_DEFAULTS, "l1": 2, "l2": 2,
+          "ladder": [[16, 16], [24, 24], [32, 32]], "tolerance": 1e-5,
+          "alpha1": {"expr": "0.6", "l": 2, "bound_mode": "above_one_over_l"},
+          **{f"{name}_d{i}": None for name in ("f", "g", "eta1", "eta2") for i in (1, 2)}}),
+        ("verify", {"identity": "green", "f": "1+t1*t2", "g": "t1-t2^2", "eta": "t2+t1^2",
+                    "alpha1": "0.4", "alpha2": "0.3+0.1*t", "rect": _UNIT},
+         {"command": "verify", "threads": 1, "quad": _QUAD_DEFAULTS, "l1": 2, "l2": 2,
+          "ladder": [[16, 16], [24, 24], [32, 32]], "tolerance": 1e-4,
+          "alpha2": {"expr": "0.3+0.1*t", "l": 2, "bound_mode": "below_one_minus"},
+          **{f"{name}_d{i}": None for name in ("f", "g", "eta") for i in (1, 2)}}),
+        ("solve", {"alpha1": "0.3", "alpha2": "0.3+0.1*tau", "rect": _UNIT,
+                   "psi": {"bottom": "1", "right": "1+t2", "top": "2", "left": "1+t2"}},
+         {"command": "solve", "threads": 1, "quad": _QUAD_DEFAULTS, "lagrangian": "quadratic",
+          "l1": 2, "l2": 2, "bound_mode": "below_one_minus", "opt_tol": 1e-7, "n_modes": 4,
+          "outer_grid": 16, "max_iter": 500, "el_grid": 4, "coeffs0": None,
+          "alpha1": {"expr": "0.3", "l": 2, "bound_mode": "below_one_minus"}}),
+        ("solve", {"lagrangian": "string", "alpha1": "0.3", "alpha2": "0.3", "rect": _UNIT,
+                   "psi": 0.5},
+         {"command": "solve", "threads": 1, "quad": _QUAD_DEFAULTS, "l1": 2, "l2": 2,
+          "bound_mode": "below_one_minus", "opt_tol": 1e-7, "n_modes": 4, "outer_grid": 16,
+          "max_iter": 500, "el_grid": 4, "coeffs0": None, "sigma": "1", "tension": 1.0}),
+    ], ids=["op", "op-axis", "verify-ibp", "verify-green", "solve", "solve-string"])
+    def test_defaults_print_the_bytes_of_the_minimal_config(self, tmp_path, capsys, command,
+                                                           minimal, defaults):
+        expected = run_cli(capsys, [command, "--config", write_config(tmp_path, minimal)])
+        cfg = write_config(tmp_path, {**minimal, **defaults}, name="defaults.json")
+        assert expected[1] and run_cli(capsys, [command, "--config", cfg]) == expected
 
 
 class TestSelftest:

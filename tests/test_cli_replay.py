@@ -4,9 +4,9 @@ The tool reads the README's example configs and builds the benchmark's
 ``verify_cli`` and ``solve`` tasks through ``perfbench/workloads.py``, so a
 README edit or a change of that module's interface can break it silently.
 This runs the first call of each part of the corpus and the RL, failing
-``op``, failing Green probe and lifted ``solve`` calls and a variational
-replay, and checks the two ways the tool prints a call: its sha256 line
-and its ``--raw`` block.
+``op``, failing Green probe, lifted ``solve`` and unknown-key calls and a
+variational replay, and checks the two ways the tool prints a call: its
+sha256 line and its ``--raw`` block.
 """
 
 import ast
@@ -78,6 +78,17 @@ def test_green_probe_fault_exits_3_at_the_first_rung(replay_tool, tmp_path):
     assert (code, out) == (3, "level,outer_grid,panels,lhs,rhs,residual\n")
     assert err.startswith("validity error: integrand value nan is not finite at ")
     assert err.count("\n") == 1
+
+
+def test_unknown_keys_exit_2_naming_the_key(replay_tool, tmp_path):
+    # one stderr line, naming the key that ends the call's name, and no output
+    calls = itertools.takewhile(lambda call: not call[0].startswith("selftest/"),
+                                replay_tool.replay(tmp_path))
+    calls = [call for call in calls if call[0].startswith("unknown/")]
+    assert [name for name, *_ in calls] == [name for name, _ in replay_tool.UNKNOWN_KEYS]
+    for name, code, out, err in calls:
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith(f"parse error: {name.rsplit('/', 1)[1]} is not a key of ")
 
 
 def test_pinned_solves_replay_the_variational_layer(replay_tool, tmp_path):

@@ -30,6 +30,11 @@ The corpus:
 * ``solve`` configs (:data:`SOLVE_CONFIGS`) with a nonzero boundary lift,
   three and four modes per axis and a stationarity residual grid, on
   non-unit rectangles with (t, tau)-varying orders;
+* configs with a misspelled or misplaced key (:data:`UNKNOWN_KEYS`): at
+  the top level of each command, inside ``grid``, ``quad``, an order
+  object, ``rect``, ``psi`` and a Lagrangian object, ``eta`` under the IBP
+  identity and ``grid`` with ``axis``.  Each exits 2 with one stderr line
+  naming the key, the last part of its name;
 * ``selftest --seed 0`` and ``selftest --seed 5``;
 * the ``verify_cli`` benchmark configs of seeds 301 and 302;
 * ``repr(ritz_solve(...).to_json_dict())`` of the ``solve`` benchmark
@@ -63,6 +68,7 @@ import workloads  # noqa: E402
 
 SEEDS = (301, 302)
 SELFTEST_SEEDS = (0, 5)
+_UNIT = {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0}
 # (name, config) of the RL derivative calls; at the default step (1e-4 of
 # the length) the central stencil does not fit within 2e-4 of the regular end
 STENCIL_OPS = (
@@ -110,6 +116,31 @@ SOLVE_CONFIGS = (
                        "alpha1": "0.35+0.1*t-0.05*tau", "alpha2": "0.3+0.1*t*tau",
                        "l1": 3, "l2": 3, "rect": {"a1": -0.3, "b1": 0.9, "a2": 0.2, "b2": 1.5},
                        "n_modes": 4, "outer_grid": 14, "el_grid": 2}),
+)
+# (name, config) of the calls with a key that no table of theirs holds;
+# each name is unknown/<command>/<key>
+_OP = {"kind": "I_left", "f": "tau", "alpha": "0.5", "a": 0.0, "b": 1.0, "grid": [0.5]}
+_IBP = {"identity": "ibp", "f": "1+t1", "g": "t2", "eta1": "t1*t2", "eta2": "1-t2",
+        "alpha1": "0.6", "alpha2": "0.6+0.1*tau", "rect": _UNIT, "ladder": [[8, 8]]}
+_QUADRATIC = {"alpha1": "0.4", "alpha2": "0.4", "rect": _UNIT, "n_modes": 2, "outer_grid": 8,
+              "el_grid": 2}
+UNKNOWN_KEYS = (
+    ("unknown/solve/outer_gird", dict(_QUADRATIC, outer_gird=40, el_grdi=0)),
+    ("unknown/verify/ladders", dict(_IBP, ladders=[[4, 4]], tolerence=1e-30)),
+    ("unknown/op/cout", dict(_OP, grid={"cout": 3})),
+    ("unknown/op/points", dict(_OP, points=[[0.5, 0.5]])),
+    ("unknown/op/panel", dict(_OP, quad={"panel": 2})),
+    ("unknown/op/bound_mod", dict(_OP, alpha={"expr": "0.6", "bound_mod": "above_one_over_l"})),
+    ("unknown/solve/sigma", dict(_QUADRATIC, lagrangian="quadratic", sigma="1+t2", tenson=3)),
+    ("unknown/verify/b3", dict(_IBP, rect={"a1": 0, "b1": 1, "a2": 0, "b3": 1})),
+    ("unknown/solve/rigth",
+     dict(_QUADRATIC, psi={"bottom": "1", "rigth": "1", "top": "1", "left": "1"})),
+    ("unknown/solve/dL_d2",
+     dict(_QUADRATIC, lagrangian={"L": "d1^2+d2^2+u^2", "dL_du": "2*u", "dL_dd1": "2*d1",
+                                  "dL_d2": "2*d2"})),
+    ("unknown/verify/eta", dict(_IBP, eta="t1+t2")),
+    ("unknown/op/grid", {"kind": "I_left", "axis": 1, "f": "t1*t2", "alpha": "0.5",
+                         "rect": _UNIT, "points": [[0.5, 0.5]], "grid": [0.5]}),
 )
 _SAME = lambda fn: fn  # the benchmark's tracing hook, here a no-op
 PINNED_SOLVES = 6  # solve tasks per seed whose solution the variational layer replays
@@ -205,6 +236,10 @@ def replay(workdir: Path):
         path = workdir / "solve.json"
         path.write_text(json.dumps(config))
         yield _cli(name, ["solve", "--config", str(path)])
+    for name, config in UNKNOWN_KEYS:
+        path = workdir / "unknown_key.json"
+        path.write_text(json.dumps(config))
+        yield _cli(name, [name.split("/")[1], "--config", str(path)])
     for seed in SELFTEST_SEEDS:
         yield _cli(f"selftest/{seed}", ["selftest", "--seed", str(seed)])
     for seed in SEEDS:
