@@ -12,7 +12,10 @@ an order object, the ``psi`` object and the Lagrangian object.  A table
 maps each key to its converter and its default, or marks it required; a
 key outside the table is a parse error that names it.  Every command
 accepts the keys ``command`` and ``threads`` and ignores them.  An
-expression key takes an expression string or a finite number.
+expression key takes an expression string or a finite number.  A
+derivative key (``f_d``, ``*_d1``, ``*_d2``) that is absent, and the
+derivative of each ``psi`` edge, is the exact derivative of the
+expression, built the first time a command takes it.
 
 Numeric output uses 17-significant-digit formatting, which round-trips
 every double exactly.  Evaluation is serial; ``--threads`` is accepted for
@@ -59,11 +62,17 @@ def _int(value, name: str) -> int:
     raise ExpressionError(f"{name} must be an integer, got {value!r}")
 
 
+_MAX_COUNT = 10**6  # the most points a grid object's count may ask for
+
+
 def _count(value, name: str) -> int:
-    """``value`` as an int if it is a non-negative integral number."""
+    """``value`` as an int if it is an integral number from 0 to ``_MAX_COUNT``,
+    so a count the grid cannot hold is a parse error, not a numpy error."""
     n = _int(value, name)
     if n < 0:
         raise ExpressionError(f"{name} must be a non-negative integer, got {value!r}")
+    if n > _MAX_COUNT:
+        raise ExpressionError(f"{name} must be at most {_MAX_COUNT}, got {value!r}")
     return n
 
 
@@ -252,8 +261,22 @@ def _order(cfg: dict, n: str, interval: Interval, mode: BoundMode) -> VariableOr
                          bound_mode=mode if spec["bound_mode"] is None else spec["bound_mode"])
 
 
+def _derived(expr, var: str):
+    """The derivative of ``expr`` along ``var``, built on its first call, so
+    a command that takes no derivative builds none."""
+    return lambda *args: expr.derivative(var)(*args)
+
+
+def _fn1(expr, derivative=None) -> SmoothFn1:
+    """A one-variable expression with ``derivative``, or else its own."""
+    return SmoothFn1(expr, derivative or _derived(expr, expr.variables[0]))
+
+
 def _fn2(cfg: dict, name: str) -> SmoothFn2:
-    return SmoothFn2(cfg[name], cfg[name + "_d1"], cfg[name + "_d2"])
+    """The field ``name`` with its ``_d1``/``_d2`` keys, or else its own partials."""
+    f = cfg[name]
+    return SmoothFn2(f, cfg[name + "_d1"] or _derived(f, "t1"),
+                     cfg[name + "_d2"] or _derived(f, "t2"))
 
 
 def _cmd_op(config, args) -> int:
@@ -274,7 +297,7 @@ def _cmd_op(config, args) -> int:
 
     a, b, grid = cfg["a"], cfg["b"], cfg["grid"]
     alpha = _order(cfg, "", Interval(a, b), cfg["bound_mode"])
-    f = SmoothFn1(cfg["f"], cfg["f_d"])
+    f = _fn1(cfg["f"], cfg["f_d"])
     if isinstance(grid, dict):  # its start and stop default to a and b
         grid = grid["values"] if grid["values"] is not None else list(np.linspace(
             a if grid["start"] is None else grid["start"],
@@ -319,7 +342,8 @@ def _cmd_solve(config, args) -> int:
     lagr = (Lagrangian.quadratic() if spec == "quadratic" else
             Lagrangian.string(cfg["sigma"], cfg["tension"]) if string else
             Lagrangian(*spec.values(), rect=rect))
-    psi = (BoundaryData(**psi, rect=rect) if isinstance(psi, dict) else
+    psi = (BoundaryData(**{edge: _fn1(e) for edge, e in psi.items()}, rect=rect)
+           if isinstance(psi, dict) else
            BoundaryData.zero(rect) if psi == 0 else BoundaryData.constant(psi, rect))
     mode = cfg["bound_mode"]
     opt_tol = cfg["opt_tol"] if args.tolerance is None else _num(args.tolerance, "--tolerance")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from varfrac import identities
+from varfrac import Expression, SmoothFn1, identities
 from varfrac.cli import _parser, main
 
 from conftest import mpgamma
@@ -493,6 +493,8 @@ class TestMalformedConfigValue:
         ("op", dict(_OP, a="zero"), "a"),
         ("op", dict(_OP, grid=5), "grid"),
         ("op", dict(_OP, grid={"count": -1}), "count"),
+        # rejected before numpy is asked for the grid
+        ("op", dict(_OP, grid={"count": 1e300}), "count"),
         ("op", dict(_PARTIAL, points=[["x", 0.5]]), "points"),
         ("op", dict(_PARTIAL, points=[[0.3, 0.6, 0.5]]), "points"),
         # two one-coordinate lists are not the one point (0.3, 0.6)
@@ -638,3 +640,77 @@ class TestSelftest:
             [sys.executable, "-m", "varfrac.cli", "op", "--config", "/dev/null"],
             capture_output=True, text=True)
         assert proc.returncode == 2  # empty config file is a parse error
+
+
+_GREEN = {"identity": "green", "f": "1+t1*t2", "g": "t1-t2^2", "eta": "sin(t1*t2)/(2+t1)",
+          "alpha1": "0.4+0.1*t", "alpha2": "0.5+0.1*tau", "l1": 3, "l2": 3, "rect": _UNIT,
+          "ladder": [[6, 8]], "tolerance": 1e-2}
+
+
+class TestDerivedDerivatives:
+    # a CLI expression without a derivative key takes its exact derivative,
+    # built only by a command that takes one
+    @pytest.fixture
+    def fd_flags(self, monkeypatch):
+        flags, derivative_callable = [], SmoothFn1.derivative_callable
+
+        def spy(self, *args, **kwargs):
+            fn, used_fd = derivative_callable(self, *args, **kwargs)
+            flags.append(used_fd)
+            return fn, used_fd
+        monkeypatch.setattr(SmoothFn1, "derivative_callable", spy)
+        return flags
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, derivative = [], Expression.derivative
+        monkeypatch.setattr(Expression, "derivative", lambda self, var: calls.append(
+            (self.src, var)) or derivative(self, var))
+        return calls
+
+    @pytest.mark.parametrize("command, config", [
+        ("verify", _GREEN),
+        ("op", {"kind": "D_cap_left", "axis": 2, "f": "exp(t1)*t2^(1+t1)", "alpha": "0.4",
+                "rect": _UNIT, "points": [[0.3, 0.5], [0.6, 0.9]]}),
+        ("op", {"kind": "D_cap_right", "f": "ln(2+tau)/(1+tau^2)", "alpha": "0.3+0.1*t",
+                "a": 0.0, "b": 1.0, "grid": [0.2, 0.7]}),
+        ("solve", {"alpha1": "0.3", "alpha2": "0.3", "rect": _UNIT, "n_modes": 2,
+                   "outer_grid": 8, "el_grid": 0,
+                   "psi": {"bottom": "1+t1^2", "right": "2+t2", "top": "2+t1^2", "left": "1+t2"}}),
+    ], ids=["verify-green", "op-axis", "op", "solve"])
+    def test_no_finite_difference_fallback(self, tmp_path, capsys, fd_flags, command, config):
+        code, out, _ = run_cli(capsys, [command, "--config", write_config(tmp_path, config)])
+        assert code == 0 and out
+        assert fd_flags and not any(fd_flags)
+
+    def test_a_given_key_wins(self, tmp_path, capsys, built):
+        # a wrong f_d1 of 0 gives the Caputo derivative of a constant section
+        config = {"kind": "D_cap_left", "axis": 1, "f": "t1*t2", "f_d1": "0", "alpha": "0.5",
+                  "rect": _UNIT, "points": [[0.5, 0.5]]}
+        code, out, _ = run_cli(capsys, ["op", "--config", write_config(tmp_path, config)])
+        assert (code, out) == (0, "t1,t2,value\n0.5,0.5,0\n") and built == []
+        del config["f_d1"]
+        code, out, _ = run_cli(capsys, ["op", "--config", write_config(tmp_path, config)])
+        assert code == 0 and float(out.split(",")[-1]) > 0 and built == [("t1*t2", "t1")]
+
+    def test_ibp_builds_no_derivative(self, tmp_path, capsys, built):
+        config = {"identity": "ibp", "f": "1+t1", "g": "t2", "eta1": "t1*t2", "eta2": "1-t2",
+                  "alpha1": "0.6", "alpha2": "0.6+0.1*tau", "rect": _UNIT, "ladder": [[8, 8]],
+                  "tolerance": 1e-2}
+        code, out, _ = run_cli(capsys, ["verify", "--config", write_config(tmp_path, config)])
+        assert code == 0 and out and built == []
+
+    @pytest.mark.parametrize("f, point, at", [
+        # d ln(t1 - 0.5) = 1/(t1 - 0.5) is finite below 0.5, where ln is NaN
+        ("ln(t1 - 0.5) + t2", [0.8, 0.5], "(0.8, 0.430019)"),
+        # ln(t2 - 0.5), free of t1, is NaN at t2 = 0.3
+        ("t1 + ln(t2 - 0.5)", [0.8, 0.3], "(0.8, 0.592172)"),
+    ])
+    def test_nan_regions_exit_3_where_the_finite_difference_did(self, tmp_path, capsys, f,
+                                                                point, at):
+        config = {"kind": "D_cap_left", "axis": 1, "f": f, "alpha": "0.5", "rect": _UNIT,
+                  "points": [point]}
+        code, out, err = run_cli(capsys, ["op", "--config", write_config(tmp_path, config)])
+        assert (code, out) == (3, "")
+        assert err == ("validity error: integrand value nan is not finite at (t, tau) = "
+                       f"{at} [side=left, weight=derivative], t2 = {point[1]}\n")

@@ -4,9 +4,9 @@ The tool reads the README's example configs and builds the benchmark's
 ``verify_cli`` and ``solve`` tasks through ``perfbench/workloads.py``, so a
 README edit or a change of that module's interface can break it silently.
 This runs the first call of each part of the corpus and the RL, failing
-``op``, grid-count ``op``, failing Green probe, lifted ``solve`` and
-unknown-key calls and a variational replay, and checks the two ways the tool prints a call: its
-sha256 line and its ``--raw`` block.
+``op``, grid-count ``op``, derived-derivative ``op``, failing Green probe,
+lifted ``solve`` and unknown-key calls and a variational replay, and checks
+the two ways the tool prints a call: its sha256 line and its ``--raw`` block.
 """
 
 import ast
@@ -75,9 +75,26 @@ def test_grid_counts_exit_2_below_zero_and_print_the_header_at_zero(replay_tool,
                                 replay_tool.replay(tmp_path))
     calls = [call for call in calls if call[0].startswith("grid_count/")]
     assert [name for name, *_ in calls] == [name for name, _ in replay_tool.GRID_COUNTS]
-    (_, *negative), (_, *zero) = calls
+    (_, *negative), (_, *zero), (_, *huge) = calls
     assert negative == [2, "", "parse error: count must be a non-negative integer, got -1\n"]
     assert zero == [0, "t,value\n", ""]
+    assert huge == [2, "", "parse error: count must be at most 1000000, got 1e+300\n"]
+
+
+def test_derived_ops_exit_0_but_where_ln_is_nan(replay_tool, tmp_path):
+    calls = itertools.takewhile(lambda call: not call[0].startswith("selftest/"),
+                                replay_tool.replay(tmp_path))
+    calls = [call for call in calls if call[0].startswith("derived/")]
+    assert [name for name, *_ in calls] == [name for name, _ in replay_tool.DERIVED_OPS]
+    assert all("f_d" not in config for _, config in replay_tool.DERIVED_OPS)
+    *ok, ln_nan, free_ln_nan = calls
+    for (_, code, out, err), (_, config) in zip(ok, replay_tool.DERIVED_OPS):
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 1 + len(config.get("grid", config.get("points")))
+    for (_, code, out, err), at in ((ln_nan, "(0.8, 0.430019)"), (free_ln_nan, "(0.8, 0.592172)")):
+        assert (code, out) == (3, "") and err.count("\n") == 1
+        assert err.startswith("validity error: integrand value nan is not finite at ")
+        assert f"(t, tau) = {at} [side=left, weight=derivative]" in err
 
 
 def test_green_probe_fault_exits_3_at_the_first_rung(replay_tool, tmp_path):

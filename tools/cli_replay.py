@@ -25,14 +25,21 @@ The corpus:
   exit 3 naming the first faulty point in the listed order: a partial one
   whose first point is clean and whose next two are not, and an RL one
   where only some of a point's stencil integrals meet the NaN;
-* ``op`` configs whose ``grid`` object has a count of -1, which exits 2
-  with one stderr line naming ``count``, and of 0, which prints only the
-  CSV header (:data:`GRID_COUNTS`);
+* ``op`` configs whose ``grid`` object has a count of -1 or of 1e300,
+  which exit 2 with one stderr line naming ``count``, and of 0, which
+  prints only the CSV header (:data:`GRID_COUNTS`);
+* Caputo ``op`` configs with and without ``axis`` and no derivative key
+  (:data:`DERIVED_OPS`), whose integrand is the derivative of the
+  expression: between them a variable and a constant exponent, quotients,
+  unary minus, ``sin``, ``cos``, ``exp`` and ``ln``; in the last two
+  configs ``ln(t1 - 0.5)`` and ``ln(t2 - 0.5)``, the latter free of the
+  axis variable, are NaN under the integral, so they exit 3;
 * a Green ``verify`` config whose C^1 probe of the right co-integral of
   g meets a NaN at the first rung (:data:`GREEN_PROBE_FAULT`), exit 3;
 * ``solve`` configs (:data:`SOLVE_CONFIGS`) with a nonzero boundary lift,
-  three and four modes per axis and a stationarity residual grid, on
-  non-unit rectangles with (t, tau)-varying orders;
+  linear or quadratic edges and one with ``exp`` edges, three and four
+  modes per axis and a stationarity residual grid, on non-unit rectangles
+  with (t, tau)-varying orders;
 * configs with a misspelled or misplaced key (:data:`UNKNOWN_KEYS`): at
   the top level of each command, inside ``grid``, ``quad``, an order
   object, ``rect``, ``psi`` and a Lagrangian object, ``eta`` under the IBP
@@ -100,10 +107,33 @@ FAULT_OPS = (
                             "alpha": "0.3+0.2*t*tau+0.1*tau", "a": 0.0, "b": 1.0,
                             "grid": [0.5, 0.89999, 0.95]}),
 )
-# (name, config) of the op calls whose grid object has a negative and a zero count
+# (name, config) of the op calls whose grid object has a negative, a zero and
+# a count too large for any grid
 GRID_COUNTS = tuple((f"grid_count/op/{n}", {"kind": "I_left", "f": "tau", "alpha": "0.5",
                                             "a": 0.0, "b": 1.0, "grid": {"count": n}})
-                    for n in (-1, 0))
+                    for n in (-1, 0, 1e300))
+# (name, config) of the Caputo op calls without a derivative key, which take the
+# derivative of their expression; between them every rule: a variable and a
+# constant exponent, quotients, products, unary minus, sin, cos, exp and ln.
+# The last two are NaN where t1 <= 0.5 and where t2 < 0.5, so their
+# derivatives along t1 are too (exit 3)
+DERIVED_OPS = (
+    ("derived/op/D_cap_left", {"kind": "D_cap_left", "f": "(1+tau)^tau/(2+tau) - exp(-tau)",
+                               "alpha": "0.3+0.2*t*tau+0.1*tau", "a": 0.0, "b": 1.0,
+                               "grid": [0.25, 0.5, 1.0]}),
+    ("derived/op/D_cap_right/axis1", {"kind": "D_cap_right", "axis": 1,
+                                      "f": "ln(2+t1*t2)*sin(t1) + cos(t2)/(1+t1^2)",
+                                      "alpha": "0.4+0.1*t*tau",
+                                      "rect": {"a1": -0.3, "b1": 0.9, "a2": 0.2, "b2": 1.5},
+                                      "points": [[0.3, 0.5], [-0.2, 1.4]]}),
+    ("derived/op/D_cap_left/axis2", {"kind": "D_cap_left", "axis": 2,
+                                     "f": "-(1+t1)^(t2/2)*e^t2 + t2^3", "alpha": "0.35+0.1*t",
+                                     "rect": _UNIT, "points": [[0.3, 0.5], [0.8, 1.0]]}),
+    ("derived/op/ln_nan", {"kind": "D_cap_left", "axis": 1, "f": "ln(t1 - 0.5) + t2",
+                           "alpha": "0.5", "rect": _UNIT, "points": [[0.8, 0.5]]}),
+    ("derived/op/free_ln_nan", {"kind": "D_cap_left", "axis": 1, "f": "t1 + ln(t2 - 0.5)",
+                                "alpha": "0.5", "rect": _UNIT, "points": [[0.8, 0.3]]}),
+)
 # the Green probe of the right co-integral of g = ln(t1 - 0.5) meets a NaN
 GREEN_PROBE_FAULT = ("probe/verify/green",
                      {"identity": "green", "f": "1+t1*t2", "g": "ln(t1-0.5)", "eta": "t2+t1^2",
@@ -125,6 +155,16 @@ SOLVE_CONFIGS = (
                        "alpha1": "0.35+0.1*t-0.05*tau", "alpha2": "0.3+0.1*t*tau",
                        "l1": 3, "l2": 3, "rect": {"a1": -0.3, "b1": 0.9, "a2": 0.2, "b2": 1.5},
                        "n_modes": 4, "outer_grid": 14, "el_grid": 2}),
+    # the edges of 1 + t1^2 + t1*t2 + exp(t2), whose lift has nonlinear factors
+    ("solve/lift/nonlinear", {"lagrangian": "quadratic",
+                              "psi": {"bottom": "1+t1^2+0.25*t1+exp(0.25)",
+                                      "right": "2+t2+exp(t2)",
+                                      "top": "1+t1^2+1.25*t1+exp(1.25)",
+                                      "left": "1.25-0.5*t2+exp(t2)"},
+                              "alpha1": "0.3+0.1*t*tau", "alpha2": "0.3+0.05*tau",
+                              "l1": 3, "l2": 3,
+                              "rect": {"a1": -0.5, "b1": 1.0, "a2": 0.25, "b2": 1.25},
+                              "n_modes": 3, "outer_grid": 12, "el_grid": 2}),
 )
 # (name, config) of the calls with a key that no table of theirs holds;
 # each name is unknown/<command>/<key>
@@ -238,7 +278,7 @@ def replay(workdir: Path):
         path = workdir / f"readme_{command}.json"
         path.write_text(json.dumps(config))
         yield _cli(f"readme/{command}", [command, "--config", str(path)])
-    for name, config in STENCIL_OPS + FAULT_OPS + GRID_COUNTS:
+    for name, config in STENCIL_OPS + FAULT_OPS + GRID_COUNTS + DERIVED_OPS:
         path = workdir / "stencil_op.json"
         path.write_text(json.dumps(config))
         yield _cli(name, ["op", "--config", str(path)])
